@@ -454,8 +454,11 @@ int main(int argc, char** argv) {
     const double steps_per_s =
         elapsed_s > 0 ? static_cast<double>(tot.steps_completed) / elapsed_s
                       : 0.0;
-    const bool parity_ok =
-        tot.parity_failures == 0 && tot.totals_failures == 0;
+    // A gate that was asked to check (--parity != 0) and checked nothing
+    // has not passed.
+    const bool parity_ok = tot.parity_failures == 0 &&
+                           tot.totals_failures == 0 &&
+                           (parity_per_conn == 0 || tot.parity_checked > 0);
 
     // Daemon-side stream counters (STAT): eviction/restore traffic and the
     // daemon's own concurrency high-water mark.  Best-effort.
@@ -499,9 +502,13 @@ int main(int argc, char** argv) {
       table.add_row({"daemon peak live", std::to_string(d_peak)});
     }
     table.add_row(
-        {"parity", (parity_ok ? "ok" : "FAILED") + std::string(" (") +
-                       std::to_string(tot.parity_checked) + " chunks, " +
-                       std::to_string(tot.totals_checked) + " totals)"});
+        {"parity", parity_per_conn == 0
+                       ? std::string("skipped (--parity 0)")
+                       : (parity_ok ? "ok" : "FAILED") + std::string(" (") +
+                             std::to_string(tot.parity_checked) +
+                             " chunks, " +
+                             std::to_string(tot.totals_checked) +
+                             " totals)"});
     table.print(std::cout);
 
     const std::string json = flags.get("json");
@@ -577,6 +584,11 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << ledger.path() << "\n";
     }
 
+    if (!parity_ok && tot.parity_checked == 0) {
+      std::cerr << "STREAM PARITY FAILURE: --parity " << parity_per_conn
+                << " requested, but no chunk was checked\n";
+      return 1;
+    }
     if (!parity_ok) {
       std::cerr << "STREAM PARITY FAILURE: " << tot.parity_failures
                 << " chunk mismatches, " << tot.totals_failures
@@ -835,7 +847,10 @@ int main(int argc, char** argv) {
   const double achieved_qps =
       elapsed_s > 0 ? static_cast<double>(total.completed) / elapsed_s : 0.0;
   const bool shutdown_observed = total.shutdown_drops > 0;
-  const bool parity_ok = total.parity_failures == 0;
+  // A gate that was asked to check (--parity != 0) and checked nothing has
+  // not passed.
+  const bool parity_ok = total.parity_failures == 0 &&
+                         (parity_per_conn == 0 || total.parity_checked > 0);
 
   // Post-burst STAT probe: record whether the daemon's flight recorder was
   // armed for this burst (the CI overhead comparison keys BENCH_serve.json
@@ -885,8 +900,11 @@ int main(int argc, char** argv) {
   table.add_row({"retries", std::to_string(total.retries)});
   table.add_row({"gave up", std::to_string(total.gave_up)});
   table.add_row({"parity",
-                 (parity_ok ? "ok" : "FAILED") + std::string(" (") +
-                     std::to_string(total.parity_checked) + " checked)"});
+                 parity_per_conn == 0
+                     ? std::string("skipped (--parity 0)")
+                     : (parity_ok ? "ok" : "FAILED") + std::string(" (") +
+                           std::to_string(total.parity_checked) +
+                           " checked)"});
   table.print(std::cout);
 
   const std::string json = flags.get("json");
@@ -977,10 +995,14 @@ int main(int argc, char** argv) {
   }
 
   if (!parity_ok) {
-    std::cerr << "PARITY FAILURE: " << total.parity_failures << " of "
-              << total.parity_checked
-              << " checked responses differ from a direct "
-                 "InferenceSession run\n";
+    if (total.parity_checked == 0)
+      std::cerr << "PARITY FAILURE: --parity " << parity_per_conn
+                << " requested, but no response was checked\n";
+    else
+      std::cerr << "PARITY FAILURE: " << total.parity_failures << " of "
+                << total.parity_checked
+                << " checked responses differ from a direct "
+                   "InferenceSession run\n";
     return 1;
   }
   if (total.completed == 0) {

@@ -102,6 +102,14 @@ CompiledModel CompiledModel::compile(const snn::SpikingNetwork& net,
              "network output must flatten to [features] per sample, got " +
                  shape.str());
   model.output_shape_ = shape;
+
+  for (std::size_t li = 0; li < model.layers_.size(); ++li) {
+    const OpKind kind = model.layers_[li].kind;
+    const bool synaptic = kind == OpKind::kConv2d || kind == OpKind::kLinear;
+    if (synaptic || model.blocks_.empty())
+      model.blocks_.push_back(LayerBlock{li, li, synaptic});
+    model.blocks_.back().end = li + 1;
+  }
   return model;
 }
 

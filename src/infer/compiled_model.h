@@ -64,6 +64,16 @@ struct CompiledLayer {
   std::int64_t membrane_offset = -1;
 };
 
+/// One unit of the session's per-sample pass: an optional synaptic layer
+/// (conv/linear) at `begin` followed by the elementwise tail (LIF, pooling,
+/// flatten) up to the next synaptic layer.  Every block but a leading tail
+/// before the network's first synaptic layer starts with a synaptic layer.
+struct LayerBlock {
+  std::size_t begin = 0;  // first layer index
+  std::size_t end = 0;    // one past the last layer index
+  bool synaptic = false;  // layers[begin] is kConv2d or kLinear
+};
+
 class CompiledModel {
  public:
   CompiledModel() = default;
@@ -86,12 +96,16 @@ class CompiledModel {
 
   std::int64_t num_parameters() const;
 
+  /// The layer list cut into blocks, in order; computed once at compile.
+  const std::vector<LayerBlock>& blocks() const { return blocks_; }
+
   /// Total floats of persistent membrane state one stream carries (the
   /// StreamState arena size): the sum of every LIF layer's out_elems.
   std::int64_t membrane_elems() const { return membrane_elems_; }
 
  private:
   std::vector<CompiledLayer> layers_;
+  std::vector<LayerBlock> blocks_;
   Shape input_shape_;
   Shape output_shape_;
   std::int64_t membrane_elems_ = 0;

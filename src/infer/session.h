@@ -1,8 +1,8 @@
 // InferenceSession: sparsity-aware serving path for a CompiledModel.
 //
-// The session owns every *transient* buffer the hot loop needs — per-layer
-// activation planes, spike index lists, and the scatter / im2col scratch —
-// sized once for `max_batch` samples, so steady-state inference performs no
+// The session owns every *transient* buffer the hot loop needs — each
+// block's input plane and spike index lists, the dense-linear output, and
+// per-participant kernel scratch — so steady-state inference performs no
 // allocation.  *Persistent* state (LIF membranes, cumulative spike counts)
 // lives in StreamState (infer/stream.h): the session steps a batch of
 // streams, each row reading and writing its own stream's membrane arena.
@@ -17,14 +17,22 @@
 //     so window results are bitwise-identical to streaming results by
 //     construction, not by parallel maintenance (DESIGN.md §15).
 //
-// Per step, each conv/linear layer inspects the exact nonzero count of its
-// input (the spike index lists are rebuilt every step) and dispatches either
+// A step runs the model's layer blocks (CompiledModel::blocks(): one
+// conv/linear layer plus the LIF/pool/flatten tail up to the next one) in
+// order.  Each block first picks its synaptic kernel from the exact
+// batch-wide nonzero count of its input,
 //
 //   * the sparse gather-accumulate kernel, which touches only the nonzero
 //     input columns via the model's [K, out] transposed weights, or
 //   * the dense im2col+GEMM / GEMM kernel — the same kernels the training
 //     stack runs — once batch-wide input density exceeds
-//     InferOptions::sparse_crossover.
+//     InferOptions::sparse_crossover,
+//
+// then makes one pass over the samples: per sample, the kernel, LIF, pool
+// and the next block's input row with its ascending index list, all in the
+// participant's cache-resident scratch.  Only the network input is scanned
+// for index lists; every inner block's lists and counts are carried out of
+// the block before it.
 //
 // Both paths, at any thread count, produce bit-identical activations to
 // SpikingNetwork::forward (see DESIGN.md §10 for the determinism argument),
@@ -53,8 +61,10 @@ struct InferenceResult {
   std::int64_t sparse_dispatches = 0;  // layer-steps on the sparse kernel
   std::int64_t dense_dispatches = 0;   // layer-steps on the dense kernel
 
-  /// Wall-clock stage split, populated when record_stage_times: time in
-  /// build_index_lists, in sparse kernels, and in dense kernels.  The
+  /// Wall-clock stage split, populated when record_stage_times: time
+  /// building the network input's index lists, and time in the sparse and
+  /// dense synaptic kernels (bias and layout included; LIF and pooling are
+  /// in none of the three).  Kernel time is summed over participants.  The
   /// serving span log forwards the kernel split per request.
   std::uint64_t index_ns = 0;
   std::uint64_t sparse_kernel_ns = 0;
@@ -103,12 +113,39 @@ class InferenceSession {
     std::int64_t spikes = 0;
   };
 
+  /// One block's batch-wide input: its values plane (unused for block 0,
+  /// which reads the caller's batch in place) and, for a synaptic block,
+  /// the per-sample ascending nonzero index lists and their counts.
+  struct BlockInput {
+    std::vector<float> plane;         // capacity * in_elems
+    std::vector<std::int32_t> idx;    // capacity * in_elems
+    std::vector<std::int64_t> count;  // capacity
+  };
+
+  /// Scratch and tallies of one parallel_for participant, sized for the
+  /// largest layer so a sample's planes stay in that core's cache.
+  /// Aligned so participants' clocks never share a cache line.
+  struct alignas(64) Participant {
+    std::vector<float> scatter;    // sparse conv: [spatial, OC]
+    std::vector<float> cols;       // dense conv: im2col
+    std::vector<float> ping, pong; // a sample's activation planes
+    std::vector<std::int64_t> nz;  // [num_layers + 1] boundary nonzeros
+    std::uint64_t sparse_ns = 0;
+    std::uint64_t dense_ns = 0;
+  };
+
   void ensure_capacity(std::int64_t batch);
-  /// Fills per-sample nonzero index lists for `layer`'s input and returns
-  /// the batch-wide nonzero total.
+  void ensure_participants(std::int64_t count);
+  /// Fills the first block's per-sample index lists from the network input
+  /// and returns the batch-wide nonzero total.
   std::int64_t build_index_lists(const float* in, std::int64_t batch,
                                  std::int64_t in_elems);
-  /// One timestep for `n` stream rows: runs every layer on the batch `x`
+  /// Runs block `b` on sample `s`: kernel, tail, then the next block's
+  /// input row and index list (or, for the last block, the output tallies).
+  void block_sample(std::size_t b, bool sparse, const float* in_plane,
+                    StreamState* const* streams, std::int64_t s,
+                    float* window_counts, Participant& part);
+  /// One timestep for `n` stream rows: runs every block on the batch `x`
   /// ([n, in_elems] floats), accumulates the final layer's spikes into both
   /// `window_counts` ([n, out_features], the per-window tally) and each
   /// stream's cumulative counts, and bumps each stream's step counter.
@@ -120,18 +157,16 @@ class InferenceSession {
   InferOptions config_;
   std::int64_t capacity_ = 0;  // samples the buffers are sized for
 
-  std::vector<std::vector<float>> acts_;  // per layer: capacity*out_elems
-  std::vector<std::int32_t> nz_idx_;      // capacity * idx_stride_
-  std::vector<std::int64_t> nz_count_;    // per-sample nonzero counts
-  std::vector<float> scratch_;            // conv scatter: [spatial, OC]
-  std::vector<float> cols_;               // dense-fallback im2col
-  std::vector<float*> m_rows_;            // per-row membrane planes (1 layer)
-  std::vector<unsigned char> fresh_;      // per-row "stream has no history"
-  std::vector<StreamState> pool_;         // scratch streams for window run()
+  std::vector<BlockInput> inputs_;          // per block
+  std::vector<float> linear_out_;           // dense linear: capacity * out
+  std::vector<Participant> parts_;          // grows to the thread count
+  std::vector<std::int64_t> boundary_nz_;   // step totals, per boundary
+  std::vector<StreamState> pool_;           // scratch streams for run()
   std::vector<StreamState*> pool_ptrs_;
-  std::int64_t idx_stride_ = 0;      // max conv/linear in_elems
-  std::int64_t scratch_stride_ = 0;  // max conv spatial*OC
+  std::int64_t plane_stride_ = 0;    // max layer out_elems
+  std::int64_t scatter_stride_ = 0;  // max conv spatial*OC
   std::int64_t cols_stride_ = 0;     // max conv col_rows*spatial
+  std::int64_t linear_stride_ = 0;   // max linear out_elems
 };
 
 }  // namespace spiketune::infer

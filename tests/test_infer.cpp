@@ -30,15 +30,19 @@ struct ThreadGuard {
 
 // A window of `steps` batches where each element is nonzero with the given
 // probability — both dispatch paths see realistic mixed-density inputs.
+// `binary` makes the nonzeros 1.0 (rate-coded spikes, as served) instead
+// of normal draws.
 std::vector<Tensor> random_window(std::int64_t steps, Shape shape,
-                                  double density, Rng& rng) {
+                                  double density, Rng& rng,
+                                  bool binary = false) {
   std::vector<Tensor> window;
   window.reserve(static_cast<std::size_t>(steps));
   for (std::int64_t t = 0; t < steps; ++t) {
     Tensor x = Tensor::full(shape, 0.0f);
     float* p = x.data();
     for (std::int64_t i = 0; i < x.numel(); ++i) {
-      if (rng.uniform() < density) p[i] = static_cast<float>(rng.normal());
+      if (rng.uniform() < density)
+        p[i] = binary ? 1.0f : static_cast<float>(rng.normal());
     }
     window.push_back(std::move(x));
   }
@@ -70,27 +74,105 @@ void expect_records_equal(const snn::SpikeRecord& want,
   EXPECT_DOUBLE_EQ(want.mean_firing_rate(), got.mean_firing_rate());
 }
 
+// Runs `window` through `session` on fresh streams and returns every
+// stream's membrane arena after the last step, concatenated.
+std::vector<float> run_streams(InferenceSession& session,
+                               const std::vector<Tensor>& window,
+                               InferenceResult& result) {
+  const std::int64_t n = window.front().shape()[0];
+  std::vector<StreamState> streams(static_cast<std::size_t>(n),
+                                   session.make_stream());
+  std::vector<StreamState*> ptrs;
+  for (auto& stream : streams) ptrs.push_back(&stream);
+  result = session.run(ptrs.data(), n, window);
+  std::vector<float> membranes;
+  for (const auto& stream : streams)
+    membranes.insert(membranes.end(), stream.membrane_arena().begin(),
+                     stream.membrane_arena().end());
+  return membranes;
+}
+
+// Membranes a one-thread session at `crossover` leaves after `window`.
+std::vector<float> window_membranes(const CompiledModel& model,
+                                    const std::vector<Tensor>& window,
+                                    double crossover) {
+  InferenceSession session(model, {.max_batch = window.front().shape()[0],
+                                   .sparse_crossover = crossover});
+  InferenceResult unused;
+  return run_streams(session, window, unused);
+}
+
+void expect_membranes_equal(const std::vector<float>& want,
+                            const std::vector<float>& got) {
+  EXPECT_TRUE(want.size() == got.size() &&
+              std::memcmp(want.data(), got.data(),
+                          want.size() * sizeof(float)) == 0)
+      << "membranes differ bitwise";
+}
+
 // Runs the window through the dense training path once, then through a
-// session at 1 and 4 threads, asserting bitwise-equal spike counts and
-// identical activity records every time.
-void check_parity(snn::SpikingNetwork& net, const Shape& per_sample,
-                  const std::vector<Tensor>& window, double crossover) {
+// session at 1 and 4 threads, with record_stats (and the stage clocks) off
+// and on, asserting bitwise-equal spike counts every time, identical
+// activity records when recorded, and dispatch decisions that do not
+// depend on what is being recorded.  Spike counts can hide a rounding
+// difference below threshold, so every run must also leave the membranes
+// of the one-thread, unrecorded run, bit for bit.  Returns the dense
+// path's record.
+snn::SpikeRecord check_parity(snn::SpikingNetwork& net,
+                              const Shape& per_sample,
+                              const std::vector<Tensor>& window,
+                              double crossover) {
   const auto dense = net.forward(window, {.record_stats = true});
   const auto model = CompiledModel::compile(net, per_sample);
+  const auto want_membranes = window_membranes(model, window, crossover);
   for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadGuard guard(threads);
-    InferenceSession session(model,
-                             {.max_batch = window.front().shape()[0],
-                              .sparse_crossover = crossover,
-                              .record_stats = true});
-    const auto got = session.run(window);
-    EXPECT_EQ(got.timesteps, dense.timesteps);
-    expect_bitwise_equal(dense.spike_counts, got.spike_counts);
-    expect_records_equal(dense.stats, got.stats);
-    EXPECT_GE(got.mean_input_density, 0.0);
-    EXPECT_LE(got.mean_input_density, 1.0);
+    InferenceResult first;
+    for (bool record : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " record_stats=" + std::to_string(record));
+      InferenceSession session(model,
+                               {.max_batch = window.front().shape()[0],
+                                .sparse_crossover = crossover,
+                                .record_stats = record,
+                                .record_stage_times = record});
+      InferenceResult got;
+      expect_membranes_equal(want_membranes, run_streams(session, window, got));
+      EXPECT_EQ(got.timesteps, dense.timesteps);
+      expect_bitwise_equal(dense.spike_counts, got.spike_counts);
+      if (record) {
+        expect_records_equal(dense.stats, got.stats);
+        EXPECT_EQ(got.sparse_dispatches, first.sparse_dispatches);
+        EXPECT_EQ(got.mean_input_density, first.mean_input_density);
+      } else {
+        first = got;
+      }
+      if (crossover >= 1.0) EXPECT_EQ(got.dense_dispatches, 0);
+      if (crossover < 0.0) EXPECT_EQ(got.sparse_dispatches, 0);
+      EXPECT_GE(got.mean_input_density, 0.0);
+      EXPECT_LE(got.mean_input_density, 1.0);
+    }
   }
+  return dense.stats;
+}
+
+// The sparse kernels must fold each output's terms in the dense kernels'
+// order, so both leave the same membranes.  Holds for conv layers on any
+// input, and for linear layers on 0/1 inputs (every csnn fc layer reads
+// spikes).  On real-valued linear inputs the two differ in the last bit
+// under FMA contraction; see ROADMAP.md.
+void expect_kernels_agree_on_membranes(snn::SpikingNetwork& net,
+                                       const Shape& per_sample,
+                                       const std::vector<Tensor>& window) {
+  const auto model = CompiledModel::compile(net, per_sample);
+  expect_membranes_equal(window_membranes(model, window, -1.0),
+                         window_membranes(model, window, 1.5));
+}
+
+// Parity through a silent layer proves little about the layers after it.
+void expect_every_lif_fires(const snn::SpikeRecord& record) {
+  for (const auto& layer : record.layers())
+    if (layer.layer_name == "lif") EXPECT_GT(layer.output_nonzeros, 0);
 }
 
 TEST(InferParity, MlpMatchesDenseForwardAtBothDensities) {
@@ -117,7 +199,46 @@ TEST(InferParity, CsnnMatchesDenseForwardAtBothDensities) {
     SCOPED_TRACE("density=" + std::to_string(density));
     auto window = random_window(4, Shape{3, 3, 12, 12}, density, rng);
     check_parity(*net, Shape{3, 12, 12}, window, /*crossover=*/0.35);
+    expect_kernels_agree_on_membranes(*net, Shape{3, 12, 12}, window);
   }
+}
+
+TEST(InferParity, CsnnOddImageSizeDropsPoolTails) {
+  // 13x13 inputs: both 2x2 pools floor, dropping the last row and column
+  // (13 -> 6 after the avg-pool, 6 -> 3 after the max-pool).
+  snn::CsnnConfig cfg;
+  cfg.image_size = 13;
+  cfg.fc_hidden = 24;
+  cfg.init_gain = 4.0f;  // enough current for every layer to fire
+  auto net = snn::make_svhn_csnn(cfg);
+  Rng rng(0x0dd13);
+  auto window = random_window(4, Shape{5, 3, 13, 13}, 0.3, rng);
+  for (double crossover : {1.5, -1.0}) {
+    SCOPED_TRACE("crossover=" + std::to_string(crossover));
+    expect_every_lif_fires(
+        check_parity(*net, Shape{3, 13, 13}, window, crossover));
+  }
+  expect_kernels_agree_on_membranes(*net, Shape{3, 13, 13}, window);
+}
+
+TEST(InferParity, CsnnServedShapeRateCoded) {
+  // The served model and input: csnn at beta 0.5 / theta 1.5 on 3x32x32
+  // frames of 0/1 rate-coded spikes.  Batch 6 splits unevenly over 4
+  // participants.
+  snn::CsnnConfig cfg;
+  cfg.lif.beta = 0.5f;
+  cfg.lif.threshold = 1.5f;
+  cfg.init_gain = 5.0f;  // binary inputs need a larger gain to reach fc2
+  auto net = snn::make_svhn_csnn(cfg);
+  Rng rng(0x5e7ed);
+  auto window = random_window(4, Shape{6, 3, 32, 32}, 0.15, rng,
+                              /*binary=*/true);
+  for (double crossover : {1.5, -1.0}) {
+    SCOPED_TRACE("crossover=" + std::to_string(crossover));
+    expect_every_lif_fires(
+        check_parity(*net, Shape{3, 32, 32}, window, crossover));
+  }
+  expect_kernels_agree_on_membranes(*net, Shape{3, 32, 32}, window);
 }
 
 TEST(InferParity, CrossoverForcesEachKernelWithoutChangingResults) {

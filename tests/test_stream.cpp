@@ -171,8 +171,11 @@ TEST(StreamParity, MixedAgeBatchMatchesSoloStreams) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadGuard guard(threads);
-    InferenceSession batched(model, {.max_batch = kStreams});
-    InferenceSession solo(model, {.max_batch = 1});
+    // record_stats stays off: the serving stack steps streams without it,
+    // so this is the configuration that must hold bit for bit.
+    InferenceSession batched(model,
+                             {.max_batch = kStreams, .record_stats = false});
+    InferenceSession solo(model, {.max_batch = 1, .record_stats = false});
     std::vector<StreamState> streams;
     std::vector<StreamState> replicas;
     for (std::int64_t s = 0; s < kStreams; ++s) {
@@ -212,6 +215,10 @@ TEST(StreamParity, MixedAgeBatchMatchesSoloStreams) {
                           streams[static_cast<std::size_t>(s)]
                               .cumulative_counts(),
                           "batched vs solo");
+      expect_counts_equal(
+          replicas[static_cast<std::size_t>(s)].membrane_arena(),
+          streams[static_cast<std::size_t>(s)].membrane_arena(),
+          "membranes, batched vs solo");
     }
   }
 }
