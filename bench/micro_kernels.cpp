@@ -1,7 +1,8 @@
 // MICRO — google-benchmark suite for the hot kernels underpinning training
-// and simulation: GEMM variants, im2col, conv forward/backward, the LIF
-// step, spike encoders, the end-to-end CSNN timestep, and the hardware
-// models (allocator, analytic analysis, event-sim tick).
+// and simulation: GEMM variants (square, and at the csnn training shapes),
+// im2col, conv forward/backward, the LIF step, spike encoders, the
+// end-to-end CSNN timestep, and the hardware models (allocator, analytic
+// analysis, event-sim tick).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -31,8 +32,8 @@ std::vector<float> random_vec(std::int64_t n, Rng& rng) {
 // the serial default afterwards so later benchmarks are unaffected.
 class ThreadsArg {
  public:
-  explicit ThreadsArg(benchmark::State& state)
-      : threads_(static_cast<int>(state.range(1))) {
+  explicit ThreadsArg(benchmark::State& state, int arg = 1)
+      : threads_(static_cast<int>(state.range(arg))) {
     set_num_threads(threads_);
   }
   ~ThreadsArg() { set_num_threads(1); }
@@ -83,6 +84,53 @@ BENCHMARK(BM_GemmSparseSpikes)
     ->UseRealTime()
     ->ArgNames({"density", "threads"})
     ->ArgsProduct({{5, 20, 100}, kThreadCounts});
+
+// The three GEMM kernels at the csnn's training shapes (SynthSvhn 16x16,
+// batch 32): m, n, k, threads.
+using GemmFn = void (*)(std::int64_t, std::int64_t, std::int64_t, float,
+                        const float*, const float*, float, float*);
+
+void gemm_shape_bench(benchmark::State& state, GemmFn fn) {
+  const std::int64_t m = state.range(0);
+  const std::int64_t n = state.range(1);
+  const std::int64_t k = state.range(2);
+  ThreadsArg threads(state, 3);
+  Rng rng(3);
+  const auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    fn(m, n, k, 1.0f, a.data(), b.data(), 1.0f, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+
+void gemm_shape_args(benchmark::internal::Benchmark* b,
+                     const std::vector<std::vector<std::int64_t>>& shapes) {
+  b->UseRealTime()->ArgNames({"m", "n", "k", "threads"});
+  for (const auto& s : shapes)
+    for (std::int64_t t : kThreadCounts) b->Args({s[0], s[1], s[2], t});
+}
+
+// conv2 forward W*cols; fc1 input gradient go*W.
+void BM_GemmNn(benchmark::State& state) { gemm_shape_bench(state, gemm); }
+BENCHMARK(BM_GemmNn)->Apply([](benchmark::internal::Benchmark* b) {
+  gemm_shape_args(b, {{32, 64, 288}, {32, 512, 256}});
+});
+
+// conv2 and conv1 weight gradients go*cols'; fc1 forward x*W'.
+void BM_GemmNt(benchmark::State& state) { gemm_shape_bench(state, gemm_nt); }
+BENCHMARK(BM_GemmNt)->Apply([](benchmark::internal::Benchmark* b) {
+  gemm_shape_args(b, {{32, 288, 64}, {32, 27, 256}, {32, 256, 512}});
+});
+
+// conv2 input gradient W'*go; fc1 weight gradient go'*x.
+void BM_GemmTn(benchmark::State& state) { gemm_shape_bench(state, gemm_tn); }
+BENCHMARK(BM_GemmTn)->Apply([](benchmark::internal::Benchmark* b) {
+  gemm_shape_args(b, {{288, 64, 32}, {256, 512, 32}});
+});
 
 void BM_Im2col(benchmark::State& state) {
   const std::int64_t s = state.range(0);

@@ -82,6 +82,14 @@ Tensor Conv2d::forward_step(const Tensor& input) {
 }
 
 Tensor Conv2d::backward_step(const Tensor& grad_output) {
+  return backward(grad_output, true);
+}
+
+void Conv2d::backward_step_params(const Tensor& grad_output) {
+  backward(grad_output, false);
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   ST_PROF_SCOPE("conv2d.bwd");
   ST_REQUIRE(!input_cache_.empty(),
              "conv backward without matching cached forward step");
@@ -98,8 +106,9 @@ Tensor Conv2d::backward_step(const Tensor& grad_output) {
                  Shape({n, config_.out_channels, oh, ow}),
              "conv grad_output shape mismatch");
 
-  Tensor grad_input(input.shape());
-  std::vector<float> grad_cols(static_cast<std::size_t>(kk * spatial));
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
+  std::vector<float> grad_cols(
+      input_grad ? static_cast<std::size_t>(kk * spatial) : 0);
   col_buf_.resize(static_cast<std::size_t>(kk * spatial));
 
   const std::int64_t in_stride = g.channels * g.height * g.width;
@@ -115,9 +124,11 @@ Tensor Conv2d::backward_step(const Tensor& grad_output) {
     gemm_nt(config_.out_channels, kk, spatial, 1.0f, go, col_buf_.data(),
             1.0f, weight_.grad.data());
     // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW].
-    gemm_tn(kk, spatial, config_.out_channels, 1.0f, weight_.value.data(), go,
-            0.0f, grad_cols.data());
-    col2im(g, grad_cols.data(), grad_input.data() + i * in_stride);
+    if (input_grad) {
+      gemm_tn(kk, spatial, config_.out_channels, 1.0f, weight_.value.data(),
+              go, 0.0f, grad_cols.data());
+      col2im(g, grad_cols.data(), grad_input.data() + i * in_stride);
+    }
     // Bias gradient: sum over spatial positions (disjoint per channel).
     if (config_.bias) {
       float* gb = bias_.grad.data();

@@ -30,6 +30,7 @@ class Conv2d final : public Layer {
   void begin_window(std::int64_t batch_size, bool training) override;
   Tensor forward_step(const Tensor& input) override;
   Tensor backward_step(const Tensor& grad_output) override;
+  void backward_step_params(const Tensor& grad_output) override;
 
   std::vector<Param*> params() override;
   Shape output_shape(const Shape& input) const override;
@@ -50,6 +51,8 @@ class Conv2d final : public Layer {
 
  private:
   ConvGeom geom_for(const Shape& input) const;
+  // One backward step; computes dL/d(input) only when `input_grad`.
+  Tensor backward(const Tensor& grad_output, bool input_grad);
 
   Conv2dConfig config_;
   Param weight_;

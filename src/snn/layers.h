@@ -49,6 +49,14 @@ class Layer {
   /// Accepts dL/d(output of that step), returns dL/d(input of that step).
   virtual Tensor backward_step(const Tensor& grad_output) = 0;
 
+  /// backward_step for the network's first layer, whose input gradient
+  /// nothing reads: the same parameter gradients and BPTT carry, without
+  /// dL/d(input).  The default runs backward_step and drops its result;
+  /// layers with a costly input gradient skip computing it.
+  virtual void backward_step_params(const Tensor& grad_output) {
+    backward_step(grad_output);
+  }
+
   /// Learnable parameters (empty for stateless/pool layers).
   virtual std::vector<Param*> params() { return {}; }
 

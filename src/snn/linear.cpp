@@ -47,6 +47,14 @@ Tensor Linear::forward_step(const Tensor& input) {
 }
 
 Tensor Linear::backward_step(const Tensor& grad_output) {
+  return backward(grad_output, true);
+}
+
+void Linear::backward_step_params(const Tensor& grad_output) {
+  backward(grad_output, false);
+}
+
+Tensor Linear::backward(const Tensor& grad_output, bool input_grad) {
   ST_REQUIRE(!input_cache_.empty(),
              "linear backward without matching cached forward step");
   Tensor input = std::move(input_cache_.back());
@@ -60,9 +68,12 @@ Tensor Linear::backward_step(const Tensor& grad_output) {
   gemm_tn(config_.out_features, config_.in_features, n, 1.0f,
           grad_output.data(), input.data(), 1.0f, weight_.grad.data());
   // gx[N, in] = go[N, out] * W[out, in]
-  Tensor grad_input(input.shape());
-  gemm(n, config_.in_features, config_.out_features, 1.0f,
-       grad_output.data(), weight_.value.data(), 0.0f, grad_input.data());
+  Tensor grad_input;
+  if (input_grad) {
+    grad_input = Tensor(input.shape());
+    gemm(n, config_.in_features, config_.out_features, 1.0f,
+         grad_output.data(), weight_.value.data(), 0.0f, grad_input.data());
+  }
   if (config_.bias) {
     float* gb = bias_.grad.data();
     const float* go = grad_output.data();

@@ -22,6 +22,7 @@ class Linear final : public Layer {
   void begin_window(std::int64_t batch_size, bool training) override;
   Tensor forward_step(const Tensor& input) override;
   Tensor backward_step(const Tensor& grad_output) override;
+  void backward_step_params(const Tensor& grad_output) override;
 
   std::vector<Param*> params() override;
   Shape output_shape(const Shape& input) const override;
@@ -37,6 +38,9 @@ class Linear final : public Layer {
   std::int64_t fanout_per_spike() const { return config_.out_features; }
 
  private:
+  // One backward step; computes dL/d(input) only when `input_grad`.
+  Tensor backward(const Tensor& grad_output, bool input_grad);
+
   LinearConfig config_;
   Param weight_;
   Param bias_;

@@ -67,10 +67,13 @@ void SpikingNetwork::backward(const Tensor& grad_counts) {
   ST_REQUIRE(last_window_steps_ > 0, "backward without a prior forward");
   for (auto& l : layers_) l->begin_backward();
   // counts = sum_t s[t]  =>  dL/ds[t] = dL/dcounts for every step.
+  // Nothing reads the gradient w.r.t. the network input, so the first
+  // layer is not asked for one.
   for (std::int64_t t = last_window_steps_ - 1; t >= 0; --t) {
     Tensor g = grad_counts;
-    for (std::size_t li = layers_.size(); li-- > 0;)
+    for (std::size_t li = layers_.size(); li-- > 1;)
       g = layers_[li]->backward_step(g);
+    layers_.front()->backward_step_params(g);
   }
   last_window_steps_ = 0;
 }

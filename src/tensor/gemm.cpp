@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -20,10 +21,17 @@ void count_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
   obs::add(kCalls);
   obs::add(kFlops, 2 * m * n * k);
 }
-// Block sizes sized for a typical 32 KiB L1 / 1 MiB L2 on one core.
-constexpr std::int64_t kBlockM = 64;
-constexpr std::int64_t kBlockN = 256;
-constexpr std::int64_t kBlockK = 256;
+
+// Eight floats: one AVX register; without AVX the compiler splits it in two.
+using Vec = float __attribute__((vector_size(32)));
+constexpr std::int64_t kLanes = sizeof(Vec) / sizeof(float);
+// Register tile: kMr rows x kNr columns of C, held in kMr * kNr / kLanes
+// vector accumulators for the whole depth of a k block.
+constexpr std::int64_t kMr = 4;
+constexpr std::int64_t kNr = 32;
+constexpr int kVecs = kNr / kLanes;
+// Depth of a k block, which bounds the packed B panel to 32 KiB of stack.
+constexpr std::int64_t kKc = 256;
 // Minimum C rows per thread slice.  Small enough that the skinny GEMMs in
 // the conv backward pass (m = out_channels = 32) still split across
 // threads, large enough to amortize the fork-join handshake.
@@ -44,13 +52,117 @@ void scale_c(std::int64_t mn, float beta, float* c) {
   }
   for (std::int64_t i = 0; i < mn; ++i) c[i] *= beta;
 }
-}  // namespace
 
-// Threading: all three kernels are parallelized over rows of C, so each
-// slice owns a disjoint block of the output.  For any fixed C element the
-// reduction over k runs in ascending-p order regardless of where the slice
-// boundaries fall, so results are bit-identical to the serial path for any
-// thread count (the determinism contract in core/parallel.h).
+/// C[R, kNr] += sum over p < kc of (alpha * A[r, p]) * B[p, 0..kNr), one
+/// multiply-add per nonzero term in ascending p.  Row r of A is read at
+/// a + r * a_row + p * a_step, row p of B at b + p * ldb, row r of C at
+/// c + r * ldc.
+template <int R>
+void tile(std::int64_t kc, float alpha, const float* a, std::int64_t a_row,
+          std::int64_t a_step, const float* b, std::int64_t ldb, float* c,
+          std::int64_t ldc) {
+  Vec acc[R][kVecs];
+  // memcpy is how vectors meet float rows here: a plain load or store
+  // with no alignment demand, and no Vec crosses a call (its ABI differs
+  // between builds with and without AVX).
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < kVecs; ++v)
+      std::memcpy(&acc[r][v], c + r * ldc + v * kLanes, sizeof(Vec));
+  for (std::int64_t p = 0; p < kc; ++p) {
+    Vec bv[kVecs];
+    for (int v = 0; v < kVecs; ++v)
+      std::memcpy(&bv[v], b + p * ldb + v * kLanes, sizeof(Vec));
+    for (int r = 0; r < R; ++r) {
+      const float av = alpha * a[r * a_row + p * a_step];
+      if (av == 0.0f) continue;  // spikes make A genuinely sparse
+      for (int v = 0; v < kVecs; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < kVecs; ++v)
+      std::memcpy(c + r * ldc + v * kLanes, &acc[r][v], sizeof(Vec));
+}
+
+/// Runs tile<R> for R = rows, on C directly when the tile is a full kNr
+/// columns wide and otherwise on a zero-padded copy of its `cols` columns.
+void run_tile(std::int64_t rows, std::int64_t cols, std::int64_t kc,
+              float alpha, const float* a, std::int64_t a_row,
+              std::int64_t a_step, const float* b, std::int64_t ldb, float* c,
+              std::int64_t ldc) {
+  alignas(64) float edge[kMr * kNr];
+  float* cp = c;
+  if (cols < kNr) {
+    std::fill(edge, edge + kMr * kNr, 0.0f);
+    for (std::int64_t r = 0; r < rows; ++r)
+      std::copy(c + r * ldc, c + r * ldc + cols, edge + r * kNr);
+    cp = edge;
+  }
+  const std::int64_t ld = cols < kNr ? kNr : ldc;
+  switch (rows) {
+    case 4: tile<4>(kc, alpha, a, a_row, a_step, b, ldb, cp, ld); break;
+    case 3: tile<3>(kc, alpha, a, a_row, a_step, b, ldb, cp, ld); break;
+    case 2: tile<2>(kc, alpha, a, a_row, a_step, b, ldb, cp, ld); break;
+    default: tile<1>(kc, alpha, a, a_row, a_step, b, ldb, cp, ld); break;
+  }
+  if (cols < kNr)
+    for (std::int64_t r = 0; r < rows; ++r)
+      std::copy(edge + r * kNr, edge + r * kNr + cols, c + r * ldc);
+}
+
+/// The one GEMM behind all three entry points: C[m,n] = alpha * A * B +
+/// beta * C, with A[i,p] at a[i * a_row + p * a_step] and B either [k,n]
+/// row-major or, when `b_transposed`, [n,k] row-major.
+///
+/// Each thread slice of C rows walks k blocks, then kNr-column panels of B,
+/// then kMr-row tiles.  A panel is read in place when it is a full kNr
+/// columns of a row-major B, and otherwise packed into zero-padded stack
+/// scratch, so the tile core always sees full-width rows.  Every C element
+/// is scaled by beta first and then gets one multiply-add per term in
+/// ascending p, whatever the tile, panel or slice boundaries — so the
+/// three kernels round identically, and results are bit-identical to the
+/// serial path for any thread count (the contract in core/parallel.h).
+void gemm_tiled(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                const float* a, std::int64_t a_row, std::int64_t a_step,
+                const float* b, bool b_transposed, float beta, float* c) {
+  parallel_for(0, m, kRowGrain, [&](std::int64_t rb, std::int64_t re) {
+    scale_c((re - rb) * n, beta, c + rb * n);
+    if (alpha == 0.0f || k == 0) return;
+    alignas(64) float panel[kKc * kNr];
+    for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
+      const std::int64_t kc = std::min(kKc, k - p0);
+      for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+        const std::int64_t cols = std::min(kNr, n - j0);
+        const float* bp = panel;
+        std::int64_t ldb = kNr;
+        if (b_transposed) {
+          for (std::int64_t jj = 0; jj < cols; ++jj) {
+            const float* brow = b + (j0 + jj) * k + p0;
+            for (std::int64_t p = 0; p < kc; ++p) panel[p * kNr + jj] = brow[p];
+          }
+          for (std::int64_t p = 0; p < kc; ++p)
+            std::fill(panel + p * kNr + cols, panel + (p + 1) * kNr, 0.0f);
+        } else if (cols < kNr) {
+          for (std::int64_t p = 0; p < kc; ++p) {
+            float* dst = panel + p * kNr;
+            std::copy(b + (p0 + p) * n + j0, b + (p0 + p) * n + n, dst);
+            std::fill(dst + cols, dst + kNr, 0.0f);
+          }
+        } else {
+          bp = b + p0 * n + j0;
+          ldb = n;
+        }
+        for (std::int64_t i = rb; i < re; i += kMr) {
+          const float* ap = a + i * a_row + p0 * a_step;
+          float* cp = c + i * n + j0;
+          run_tile(std::min(kMr, re - i), cols, kc, alpha, ap, a_row, a_step,
+                   bp, ldb, cp, n);
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
 
 void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           const float* a, const float* b, float beta, float* c) {
@@ -58,30 +170,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   require_args(m, n, k, a, b, c);
   if (m == 0 || n == 0) return;
   count_gemm(m, n, k);
-
-  parallel_for(0, m, kRowGrain, [&](std::int64_t rb, std::int64_t re) {
-    scale_c((re - rb) * n, beta, c + rb * n);
-    if (alpha == 0.0f || k == 0) return;
-    for (std::int64_t i0 = rb; i0 < re; i0 += kBlockM) {
-      const std::int64_t i1 = std::min(i0 + kBlockM, re);
-      for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
-        const std::int64_t p1 = std::min(p0 + kBlockK, k);
-        for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-          const std::int64_t j1 = std::min(j0 + kBlockN, n);
-          for (std::int64_t i = i0; i < i1; ++i) {
-            float* crow = c + i * n;
-            const float* arow = a + i * k;
-            for (std::int64_t p = p0; p < p1; ++p) {
-              const float av = alpha * arow[p];
-              if (av == 0.0f) continue;  // spikes make A genuinely sparse
-              const float* brow = b + p * n;
-              for (std::int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
-    }
-  });
+  gemm_tiled(m, n, k, alpha, a, k, 1, b, false, beta, c);
 }
 
 void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -90,29 +179,7 @@ void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   require_args(m, n, k, a, b, c);
   if (m == 0 || n == 0) return;
   count_gemm(m, n, k);
-
-  // A is [k, m]; k stays the inner streaming loop within each row block so
-  // both A and B rows stream while the C block stays hot.
-  parallel_for(0, m, kRowGrain, [&](std::int64_t rb, std::int64_t re) {
-    scale_c((re - rb) * n, beta, c + rb * n);
-    if (alpha == 0.0f || k == 0) return;
-    for (std::int64_t i0 = rb; i0 < re; i0 += kBlockM) {
-      const std::int64_t i1 = std::min(i0 + kBlockM, re);
-      for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
-        const std::int64_t p1 = std::min(p0 + kBlockK, k);
-        for (std::int64_t p = p0; p < p1; ++p) {
-          const float* arow = a + p * m;
-          const float* brow = b + p * n;
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const float av = alpha * arow[i];
-            if (av == 0.0f) continue;
-            float* crow = c + i * n;
-            for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  });
+  gemm_tiled(m, n, k, alpha, a, 1, m, b, false, beta, c);
 }
 
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -121,28 +188,7 @@ void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   require_args(m, n, k, a, b, c);
   if (m == 0 || n == 0) return;
   count_gemm(m, n, k);
-
-  // Dot-product formulation: C[i,j] = sum_p A[i,p] * B[j,p].  Blocked over
-  // rows of B so a tile of B (kBlockNtJ rows of k floats) is reused across
-  // every row of the slice instead of streaming all of B once per row.
-  constexpr std::int64_t kBlockNtJ = 64;
-  parallel_for(0, m, kRowGrain, [&](std::int64_t rb, std::int64_t re) {
-    scale_c((re - rb) * n, beta, c + rb * n);
-    if (alpha == 0.0f || k == 0) return;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kBlockNtJ) {
-      const std::int64_t j1 = std::min(j0 + kBlockNtJ, n);
-      for (std::int64_t i = rb; i < re; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (std::int64_t j = j0; j < j1; ++j) {
-          const float* brow = b + j * k;
-          float acc = 0.0f;
-          for (std::int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-          crow[j] += alpha * acc;
-        }
-      }
-    }
-  });
+  gemm_tiled(m, n, k, alpha, a, k, 1, b, true, beta, c);
 }
 
 }  // namespace spiketune

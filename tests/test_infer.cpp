@@ -157,10 +157,9 @@ snn::SpikeRecord check_parity(snn::SpikingNetwork& net,
 }
 
 // The sparse kernels must fold each output's terms in the dense kernels'
-// order, so both leave the same membranes.  Holds for conv layers on any
-// input, and for linear layers on 0/1 inputs (every csnn fc layer reads
-// spikes).  On real-valued linear inputs the two differ in the last bit
-// under FMA contraction; see ROADMAP.md.
+// order, with the same one multiply-add per term, so both leave the same
+// membranes: conv and linear layers alike, on 0/1 and real-valued inputs,
+// with or without FMA contraction.
 void expect_kernels_agree_on_membranes(snn::SpikingNetwork& net,
                                        const Shape& per_sample,
                                        const std::vector<Tensor>& window) {
@@ -186,6 +185,7 @@ TEST(InferParity, MlpMatchesDenseForwardAtBothDensities) {
     SCOPED_TRACE("density=" + std::to_string(density));
     auto window = random_window(6, Shape{5, 48}, density, rng);
     check_parity(*net, Shape{48}, window, /*crossover=*/0.35);
+    expect_kernels_agree_on_membranes(*net, Shape{48}, window);
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "core/error.h"
 #include "snn/conv2d.h"
@@ -158,6 +160,67 @@ TEST(Network, BackwardProducesFiniteNonzeroGrads) {
       grad_l1 += std::fabs(p->grad[i]);
     }
   EXPECT_GT(grad_l1, 0.0);
+}
+
+// The network asks its first layer for parameter gradients only.  Replaying
+// the same window through every layer's full backward_step must give the
+// same gradients, bit for bit.
+void expect_first_layer_skip_keeps_grads(
+    const std::function<std::unique_ptr<SpikingNetwork>()>& make,
+    const Shape& step_shape) {
+  auto net = make();
+  auto ref = make();
+  Rng rng(91);
+  std::vector<Tensor> window;
+  for (int t = 0; t < 4; ++t)
+    window.push_back(Tensor::uniform(step_shape, rng, 0.0f, 1.0f));
+
+  net->zero_grad();
+  ref->zero_grad();
+  const auto out = net->forward(window, {.training = true});
+  ref->forward(window, {.training = true});
+  const Tensor g = Tensor::uniform(out.spike_counts.shape(), rng, -1.0f, 1.0f);
+  net->backward(g);
+  for (std::size_t li = 0; li < ref->num_layers(); ++li)
+    ref->layer(li).begin_backward();
+  for (std::size_t t = 0; t < window.size(); ++t) {
+    Tensor gi = g;
+    for (std::size_t li = ref->num_layers(); li-- > 0;)
+      gi = ref->layer(li).backward_step(gi);
+    EXPECT_EQ(gi.shape(), step_shape);
+  }
+
+  const auto got = net->params();
+  const auto want = ref->params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->grad.shape(), want[i]->grad.shape());
+    for (std::int64_t e = 0; e < got[i]->numel(); ++e)
+      EXPECT_EQ(got[i]->grad[e], want[i]->grad[e]) << got[i]->name << " " << e;
+  }
+  // The first layer's weight gradient is live, so the check is not vacuous.
+  double first_l1 = 0.0;
+  for (std::int64_t e = 0; e < got.front()->numel(); ++e)
+    first_l1 += std::fabs(got.front()->grad[e]);
+  EXPECT_GT(first_l1, 0.0);
+}
+
+TEST(Network, FirstLayerSkipsOnlyItsInputGradient) {
+  MlpConfig mlp;
+  mlp.in_features = 16;
+  mlp.hidden = 12;
+  mlp.num_classes = 4;
+  mlp.lif.threshold = 0.8f;
+  expect_first_layer_skip_keeps_grads([&] { return make_snn_mlp(mlp); },
+                                      Shape{3, 16});
+  CsnnConfig csnn;
+  csnn.image_size = 12;
+  csnn.conv1_filters = 4;
+  csnn.conv2_filters = 4;
+  csnn.fc_hidden = 16;
+  csnn.init_gain = 3.0f;
+  expect_first_layer_skip_keeps_grads([&] { return make_svhn_csnn(csnn); },
+                                      Shape{2, 3, 12, 12});
 }
 
 TEST(Network, BackwardWithoutForwardThrows) {

@@ -474,6 +474,9 @@ TEST(ServeServer, ConcurrentClientsAllGetBitwiseParity) {
   for (std::thread& t : clients) t.join();
   for (int c = 0; c < kThreads; ++c)
     EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0) << "client " << c;
+  // A worker counts a response as served after writing it, so a client can
+  // hold its last reply before the count moves; drain first.
+  s.server->drain_and_stop();
   const Server::Stats stats = s.server->stats();
   EXPECT_EQ(stats.served, kThreads * kPerThread);
   EXPECT_EQ(stats.bad_requests, 0);
@@ -627,6 +630,7 @@ TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
   const std::int64_t elems = s.per_sample.numel();
   const int port = s.server->port();
   constexpr int kThreads = 4;
+  std::atomic<int> connected{0};
   std::atomic<int> completed{0};
   std::atomic<int> shutdown_seen{0};
   std::atomic<int> unexpected{0};
@@ -635,6 +639,7 @@ TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
     clients.emplace_back([&, c] {
       Rng rng(200 + static_cast<std::uint64_t>(c));
       TcpClient client("127.0.0.1", port, 2000);
+      ++connected;
       for (int i = 0; i < 200; ++i) {
         const TcpClient::Reply reply = client.roundtrip(random_request(
             static_cast<std::uint64_t>(i), 4, elems, rng));
@@ -651,8 +656,10 @@ TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
       }
     });
   }
-  // Let some requests land, then drain while the clients keep pushing.
-  while (completed.load() < 8) std::this_thread::yield();
+  // Let every client connect (a late one would find the listener closed)
+  // and some requests land, then drain while the clients keep pushing.
+  while (connected.load() < kThreads || completed.load() < 8)
+    std::this_thread::yield();
   s.server->drain_and_stop();
   for (std::thread& t : clients) t.join();
 
