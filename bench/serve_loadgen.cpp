@@ -20,7 +20,7 @@
 // result is worthless.
 //
 // Unhappy paths are tallied separately, never lumped: overload rejections,
-// shutdown drops, deadline misses (--deadline-us arms a v2 per-request
+// shutdown drops, deadline misses (--deadline-us arms a per-request
 // budget), internal errors, bad requests, and raw disconnects each get
 // their own count in the table and the JSON.  With --retries N, transient
 // failures (overload, internal error, disconnect) are retried with
@@ -125,8 +125,7 @@ int main(int argc, char** argv) {
                 "open-loop target rate (0 = closed loop at --conns "
                 "concurrency)");
   flags.declare("deadline-us", "0",
-                "per-request latency budget sent on the wire (protocol v2; "
-                "0 = none)");
+                "per-request latency budget sent on the wire (0 = none)");
   flags.declare("retries", "0",
                 "retry budget per request for transient failures "
                 "(overload / disconnect / internal error; 0 = give up "
@@ -134,7 +133,7 @@ int main(int argc, char** argv) {
   flags.declare("backoff-ms", "5",
                 "base retry backoff, doubled per attempt");
   flags.declare("streams", "0",
-                "streaming mode (protocol v3): open this many concurrent "
+                "streaming mode: open this many concurrent "
                 "streams across --conns connections and step each one "
                 "--steps-per-stream times (0 = plain request mode)");
   flags.declare("steps-per-stream", "16",
@@ -234,7 +233,7 @@ int main(int argc, char** argv) {
   const std::int64_t out_features = model.output_shape()[0];
 
   if (streams_total > 0) {
-    // --- Streaming mode (protocol v3) -----------------------------------
+    // --- Streaming mode -----------------------------------------------
     // Every stream sends `steps_per_stream` chunks of `num_steps`
     // timesteps.  With --stream-hz R each chunk launches on the stream's
     // own open-loop schedule and latency is measured from the scheduled

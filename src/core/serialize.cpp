@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -20,8 +21,8 @@ std::function<void()> checkpoint_pre_rename_hook;
 }  // namespace testing
 
 namespace {
-constexpr std::uint32_t kMagicV1 = 0x53544b31;  // "STK1"
-constexpr std::uint32_t kMagicV2 = 0x53544b32;  // "STK2"
+constexpr std::uint32_t kMagic = 0x53544b32;  // "STK2"
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kMaxRecords = 1u << 20;
 constexpr std::uint64_t kMaxNameLen = 4096;
 constexpr std::uint64_t kMaxRank = 16;
@@ -108,16 +109,28 @@ NamedTensor read_record(Reader& in) {
   const auto rank = in.pod<std::uint64_t>();
   ST_REQUIRE(rank <= kMaxRank, "absurd tensor rank in " + in.path);
   std::vector<std::int64_t> dims(rank);
+  // The product of the nonzero extents stays under kMaxNumel, so no partial
+  // product Shape::numel forms can overflow, whatever order the zeros are in.
+  std::int64_t nonzero_numel = 1;
+  bool has_zero = false;
   for (auto& d : dims) {
     d = in.pod<std::int64_t>();
     ST_REQUIRE(d >= 0, "negative dimension in " + in.path);
+    if (d == 0) {
+      has_zero = true;
+      continue;
+    }
+    ST_REQUIRE(nonzero_numel <= kMaxNumel / d,
+               "absurd tensor size in " + in.path);
+    nonzero_numel *= d;
   }
-  Shape shape(std::move(dims));
-  ST_REQUIRE(shape.numel() <= kMaxNumel, "absurd tensor size in " + in.path);
-  Tensor value(shape);
   const std::size_t bytes =
-      static_cast<std::size_t>(value.numel()) * sizeof(float);
-  std::memcpy(value.data(), in.take(bytes), bytes);
+      has_zero ? 0 : static_cast<std::size_t>(nonzero_numel) * sizeof(float);
+  // Checked before the tensor is allocated: a length field must not size an
+  // allocation larger than the bytes actually present.
+  const char* payload = in.take(bytes);
+  Tensor value{Shape(std::move(dims))};
+  if (bytes > 0) std::memcpy(value.data(), payload, bytes);
   rec.value = std::move(value);
   return rec;
 }
@@ -150,8 +163,8 @@ CheckpointMeta read_meta(Reader& in) {
 void save_v2(const std::string& path, const std::vector<NamedTensor>& records,
              const CheckpointMeta* meta) {
   std::string buf;
-  append_pod(buf, kMagicV2);
-  append_pod(buf, std::uint32_t{2});
+  append_pod(buf, kMagic);
+  append_pod(buf, kVersion);
   append_pod(buf, static_cast<std::uint8_t>(meta != nullptr));
   if (meta) append_meta(buf, *meta);
   append_pod(buf, static_cast<std::uint64_t>(records.size()));
@@ -230,16 +243,6 @@ void save_checkpoint(const std::string& path,
   save_v2(path, records, &meta);
 }
 
-void save_checkpoint_v1(const std::string& path,
-                        const std::vector<NamedTensor>& records) {
-  std::string buf;
-  append_pod(buf, kMagicV1);
-  append_pod(buf, std::uint32_t{1});
-  append_pod(buf, static_cast<std::uint64_t>(records.size()));
-  for (const auto& rec : records) append_record(buf, rec);
-  atomic_write_file(path, buf);
-}
-
 Checkpoint load_checkpoint_full(const std::string& path) {
   std::string buf;
   {
@@ -251,45 +254,37 @@ Checkpoint load_checkpoint_full(const std::string& path) {
     buf = std::move(ss).str();
   }
   Reader in{buf, path};
-  const auto magic = in.pod<std::uint32_t>();
-  ST_REQUIRE(magic == kMagicV1 || magic == kMagicV2,
+  ST_REQUIRE(in.pod<std::uint32_t>() == kMagic,
              "not a spiketune checkpoint: " + path);
+  ST_REQUIRE(in.pod<std::uint32_t>() == kVersion,
+             "unsupported checkpoint version: " + path);
+  // Verify the whole-file CRC before trusting any length field.
+  ST_REQUIRE(buf.size() >= in.pos + sizeof(std::uint32_t),
+             "truncated checkpoint: " + path);
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, buf.data() + buf.size() - sizeof(stored),
+              sizeof(stored));
+  ST_REQUIRE(stored == crc32(buf.data(), buf.size() - sizeof(stored)),
+             "checkpoint CRC mismatch (corrupt or torn write): " + path);
 
   Checkpoint out;
-  out.version = in.pod<std::uint32_t>();
-  if (magic == kMagicV1) {
-    ST_REQUIRE(out.version == 1, "unsupported checkpoint version: " + path);
-  } else {
-    ST_REQUIRE(out.version == 2, "unsupported checkpoint version: " + path);
-    // Verify the whole-file CRC before trusting any length field.
-    ST_REQUIRE(buf.size() >= in.pos + sizeof(std::uint32_t),
-               "truncated checkpoint: " + path);
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, buf.data() + buf.size() - sizeof(stored),
-                sizeof(stored));
-    ST_REQUIRE(stored == crc32(buf.data(), buf.size() - sizeof(stored)),
-               "checkpoint CRC mismatch (corrupt or torn write): " + path);
-    if (in.pod<std::uint8_t>() != 0) out.meta = read_meta(in);
-  }
-
+  if (in.pod<std::uint8_t>() != 0) out.meta = read_meta(in);
   const auto count = in.pod<std::uint64_t>();
   ST_REQUIRE(count <= kMaxRecords, "absurd record count in " + path);
-  out.records.reserve(count);
+  // A record takes at least 20 bytes (name length, rank, CRC), so the bytes
+  // left bound the reservation however large the count field claims to be.
+  out.records.reserve(std::min<std::uint64_t>(count, in.remaining() / 20));
   for (std::uint64_t r = 0; r < count; ++r) {
     const std::size_t begin = in.pos;
     out.records.push_back(read_record(in));
-    if (out.version >= 2) {
-      const std::size_t end = in.pos;
-      const auto stored = in.pod<std::uint32_t>();
-      ST_REQUIRE(stored == crc32(buf.data() + begin, end - begin),
-                 "record CRC mismatch for '" + out.records.back().name +
-                     "' in " + path);
-    }
+    const std::size_t end = in.pos;
+    const auto record_crc = in.pod<std::uint32_t>();
+    ST_REQUIRE(record_crc == crc32(buf.data() + begin, end - begin),
+               "record CRC mismatch for '" + out.records.back().name +
+                   "' in " + path);
   }
-  if (out.version >= 2) {
-    ST_REQUIRE(in.remaining() == sizeof(std::uint32_t),
-               "trailing garbage in checkpoint: " + path);
-  }
+  ST_REQUIRE(in.remaining() == sizeof(std::uint32_t),
+             "trailing garbage in checkpoint: " + path);
   return out;
 }
 

@@ -1,14 +1,13 @@
 // Binary serialization for tensors and parameter sets (checkpoints).
 //
-// Two container versions share the load path:
-//   * STK1 (legacy): magic/version header, record count, then (name, shape,
-//     float32 payload) records in little-endian byte order.  No integrity
-//     data — torn writes are only caught when a length field happens to be
-//     implausible.
-//   * STK2 (current): adds an optional metadata section (training-resume
-//     state: epoch, optimizer step, stream counters, config fingerprint), a
-//     CRC-32 per record, and a whole-file CRC-32 trailer.  Any truncation or
-//     bit flip is rejected with a typed InvalidArgument.
+// One container format, STK2: a magic/version header, an optional metadata
+// section (training-resume state: epoch, optimizer step, stream counters,
+// config fingerprint), a record count, then (name, shape, float32 payload)
+// records in little-endian byte order, each followed by its CRC-32, and a
+// whole-file CRC-32 trailer.  Any truncation or bit flip is rejected with a
+// typed InvalidArgument; the loader checks the whole-file CRC before it
+// trusts any length field, and still bounds every length by the bytes
+// present.
 //
 // All writers are crash-safe: the container is built in memory and published
 // via write-to-temp + fsync + atomic rename (atomic_write_file), so a kill
@@ -33,8 +32,8 @@ struct NamedTensor {
   Tensor value;
 };
 
-/// Optional resume metadata carried by STK2 checkpoints.  `present` is false
-/// for plain weight snapshots and for anything loaded from an STK1 file.
+/// Optional resume metadata carried by a checkpoint.  `present` is false for
+/// plain weight snapshots.
 struct CheckpointMeta {
   bool present = false;
   std::int64_t epoch = 0;             // next epoch to run on resume
@@ -47,9 +46,8 @@ struct CheckpointMeta {
   std::map<std::string, std::string> extra;  // forward-compatible key/values
 };
 
-/// A fully parsed checkpoint: container version, records, and metadata.
+/// A fully parsed checkpoint: records and metadata.
 struct Checkpoint {
-  std::uint32_t version = 0;
   std::vector<NamedTensor> records;
   CheckpointMeta meta;
 };
@@ -64,17 +62,12 @@ void save_checkpoint(const std::string& path,
                      const std::vector<NamedTensor>& records,
                      const CheckpointMeta& meta);
 
-/// Legacy STK1 writer, kept for compatibility tests and old toolchains.
-/// Routed through the same atomic temp+rename helper as the v2 writer.
-void save_checkpoint_v1(const std::string& path,
-                        const std::vector<NamedTensor>& records);
-
-/// Reads a checkpoint written by any save_checkpoint* (STK1 or STK2).
-/// Throws InvalidArgument on malformed files: bad magic, truncation, absurd
-/// sizes, or (v2) any CRC mismatch.
+/// Reads a checkpoint written by save_checkpoint.  Throws InvalidArgument on
+/// malformed files: bad magic, a version other than 2, truncation, absurd
+/// sizes, or any CRC mismatch.
 std::vector<NamedTensor> load_checkpoint(const std::string& path);
 
-/// As load_checkpoint, but also returns the container version and metadata.
+/// As load_checkpoint, but also returns the metadata.
 Checkpoint load_checkpoint_full(const std::string& path);
 
 /// Atomically publishes `data` at `path`: writes `path + ".tmp"`, fsyncs,

@@ -1,16 +1,10 @@
 // InferOptions: the one aggregate for every inference-construction knob.
 //
-// PR 5 replaced the training stack's positional forward arguments with
-// ForwardOptions; this is the inference-side mirror.  InferenceSession used
-// to grow a new positional field per feature (max_batch, then the
-// crossover, then two recording switches, then the streaming knobs), and
-// every driver that built a session re-spelled the tail.  All of it now
-// lives here, threaded through the drivers by exp::apply_standard_flags
-// (StandardFlags::infer), so a new knob is one field plus one flag — not
-// fourteen call-site edits.
-//
-// The old name `SessionConfig` survives as an alias so existing designated
-// initializers keep compiling; new code should say InferOptions.
+// The inference-side mirror of the training stack's ForwardOptions.  Every
+// session knob (batch capacity, the sparse crossover, the two recording
+// switches, the streaming limits) lives here, threaded through the drivers
+// by exp::apply_standard_flags (StandardFlags::infer), so a new knob is one
+// field plus one flag rather than an edit at every call site.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +36,5 @@ struct InferOptions {
   /// spilling: beyond max_live_streams, opening another stream fails.
   std::string stream_checkpoint_dir;
 };
-
-/// Deprecated spelling, kept so pre-InferOptions call sites compile
-/// unchanged; will be removed once the tree says InferOptions everywhere.
-using SessionConfig = InferOptions;
 
 }  // namespace spiketune::infer

@@ -1,5 +1,6 @@
 #include "infer/stream.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -218,7 +219,14 @@ void StreamManager::restore_locked(std::uint64_t id, Entry& e) {
   }
   auto it = cp.meta.extra.find("steps_done");
   ST_REQUIRE(it != cp.meta.extra.end(), "stream spill missing steps_done");
-  s.steps_done_ = std::stoll(it->second);
+  // std::stoll would throw its own exception types (or accept a trailing
+  // suffix) on a corrupt value; a spill file is untrusted input.
+  const std::string& text = it->second;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), s.steps_done_);
+  ST_REQUIRE(ec == std::errc() && end == text.data() + text.size() &&
+                 s.steps_done_ >= 0,
+             "stream spill has a malformed steps_done");
   // Every check passed: commit atomically.
   e.state = std::move(fresh);
   std::remove(spill_path(id).c_str());

@@ -48,8 +48,7 @@ struct PendingRequest {
   std::uint64_t recv_ns = 0;      // header fully read off the socket
   std::uint64_t enqueue_ns = 0;   // telemetry epoch, for queue-time stats
   std::uint64_t deadline_ns = 0;  // telemetry epoch; 0 = no deadline
-  std::uint32_t version = 1;      // protocol version to answer with
-  /// Nonzero for a v3 STREAM_STEP chunk: the persistent stream this row
+  /// Nonzero for a STREAM_STEP chunk: the persistent stream this row
   /// advances.  A stream's chunks apply strictly in queue order, so
   /// next_batch never hands out a chunk while an earlier chunk of the
   /// same stream is aboard ANY in-flight batch (see finish_stream); it

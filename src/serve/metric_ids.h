@@ -30,14 +30,14 @@ struct ServeMetricIds {
   obs::MetricId slo_burn = obs::kNoMetric;       // gauge: budget burn ratio
   // Introspection endpoint.
   obs::MetricId stat_requests = obs::kNoMetric;  // counter: STAT snapshots
-  // Deadline lifecycle (protocol v2).
+  // Deadline lifecycle.
   obs::MetricId deadline_requests = obs::kNoMetric;  // counter: budget > 0
   obs::MetricId deadline_shed = obs::kNoMetric;      // counter: expired->shed
   // Unhappy-path hygiene.
   obs::MetricId internal_errors = obs::kNoMetric;  // counter: poison requests
   obs::MetricId idle_reaped = obs::kNoMetric;      // counter: idle conns cut
   obs::MetricId send_timeouts = obs::kNoMetric;    // counter: slow-peer cuts
-  // Streaming (protocol v3).  Lifecycle counters (opened/evicted/...) are
+  // Streaming.  Lifecycle counters (opened/evicted/...) are
   // registered by infer::StreamManager under `infer.streams.*`; these two
   // are the serve-side step tallies.
   obs::MetricId stream_steps = obs::kNoMetric;    // counter: steps answered

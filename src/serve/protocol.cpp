@@ -16,6 +16,11 @@ void put(std::vector<std::uint8_t>& out, T v) {
   out.insert(out.end(), p, p + sizeof(T));
 }
 
+void put_floats(std::vector<std::uint8_t>& out, const std::vector<float>& v) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+  out.insert(out.end(), p, p + v.size() * sizeof(float));
+}
+
 template <typename T>
 T get(const std::vector<std::uint8_t>& in, std::size_t& off,
       const char* what) {
@@ -25,6 +30,38 @@ T get(const std::vector<std::uint8_t>& in, std::size_t& off,
   std::memcpy(&v, in.data() + off, sizeof(T));
   off += sizeof(T);
   return v;
+}
+
+/// Reads the `n` floats that end the payload at `off`.  The callers have
+/// already checked that exactly n * 4 bytes remain; the n == 0 guard keeps
+/// a null data() pointer out of memcpy.
+std::vector<float> get_floats(const std::vector<std::uint8_t>& in,
+                              std::size_t off, std::size_t n) {
+  std::vector<float> v(n);
+  if (n > 0) std::memcpy(v.data(), in.data() + off, n * sizeof(float));
+  return v;
+}
+
+/// The infer-request layout starting at `off`: shared by INFER and the
+/// body of STREAM_STEP.
+InferRequest get_request_body(std::uint64_t request_id,
+                              const std::vector<std::uint8_t>& payload,
+                              std::size_t off) {
+  InferRequest r;
+  r.request_id = request_id;
+  r.num_steps = get<std::uint32_t>(payload, off, "num_steps");
+  r.elems_per_step = get<std::uint32_t>(payload, off, "elems_per_step");
+  r.deadline_us = get<std::uint64_t>(payload, off, "deadline_us");
+  const std::size_t n =
+      static_cast<std::size_t>(r.num_steps) * r.elems_per_step;
+  // Checked by division: n * sizeof(float) can wrap modulo 2^64 for hostile
+  // dims (e.g. num_steps = elems_per_step = 2^31), which would let a tiny
+  // payload pass and turn resize(n) into an allocation bomb.
+  const std::size_t body = payload.size() - off;
+  ST_REQUIRE(body % sizeof(float) == 0 && body / sizeof(float) == n,
+             "request payload size does not match num_steps * elems");
+  r.data = get_floats(payload, off, n);
+  return r;
 }
 
 }  // namespace
@@ -49,10 +86,8 @@ void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]) {
   std::uint8_t* p = out;
   std::memcpy(p, &h.magic, 4);
   p += 4;
-  // Version 1 is encoded as a zero byte so v1 frames (and replies to v1
-  // peers) stay byte-identical to the pre-versioning wire format.
-  const std::uint32_t ver = h.version <= 1 ? 0 : h.version;
-  const std::uint32_t kind_ver = static_cast<std::uint32_t>(h.kind) | (ver << 8);
+  const std::uint32_t kind_ver =
+      static_cast<std::uint32_t>(h.kind) | (kProtocolVersion << 8);
   std::memcpy(p, &kind_ver, 4);
   p += 4;
   std::memcpy(p, &h.request_id, 8);
@@ -72,19 +107,13 @@ FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]) {
   std::memcpy(&kind_ver, p, 4);
   p += 4;
   const std::uint32_t kind = kind_ver & 0xffu;
-  // Version 1 peers predate the version byte and send zero there.
-  h.version = (kind_ver >> 8) == 0 ? 1 : (kind_ver >> 8);
-  ST_REQUIRE(h.version <= kProtocolVersion,
-             "frame version " + std::to_string(h.version) +
-                 " is newer than this daemon speaks (max " +
-                 std::to_string(kProtocolVersion) + ")");
+  const std::uint32_t version = kind_ver >> 8;
+  ST_REQUIRE(version == kProtocolVersion,
+             "frame version " + std::to_string(version) +
+                 " is not protocol version " +
+                 std::to_string(kProtocolVersion));
   ST_REQUIRE(kind >= 1 && kind <= 8, "unknown frame kind " +
                                          std::to_string(kind));
-  // The streaming opcodes shipped with v3; an older version byte on one is
-  // a peer bug (or a fuzzer), not a legacy frame.
-  ST_REQUIRE(kind <= 5 || h.version >= 3,
-             "frame kind " + std::to_string(kind) +
-                 " requires protocol version >= 3");
   h.kind = static_cast<FrameKind>(kind);
   std::memcpy(&h.request_id, p, 8);
   p += 8;
@@ -96,194 +125,132 @@ FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]) {
   return h;
 }
 
-namespace detail {
+namespace {
 
-std::vector<std::uint8_t> encode_request_payload(const InferRequest& r,
-                                                 std::uint32_t version) {
+// Payload encoders.  Each frame function below writes its header in front
+// of the payload in one buffer; the payload layouts are the ones the
+// decode_* functions read.
+
+void put_request_body(std::vector<std::uint8_t>& out, const InferRequest& r) {
   ST_REQUIRE(r.data.size() == static_cast<std::size_t>(r.num_steps) *
                                   r.elems_per_step,
              "request data does not match num_steps * elems_per_step");
-  ST_REQUIRE(version >= 2 || r.deadline_us == 0,
-             "deadline_us needs protocol version >= 2");
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + r.data.size() * sizeof(float));
   put(out, r.num_steps);
   put(out, r.elems_per_step);
-  if (version >= 2) put(out, r.deadline_us);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(r.data.data());
-  out.insert(out.end(), p, p + r.data.size() * sizeof(float));
+  put(out, r.deadline_us);
+  put_floats(out, r.data);
+}
+
+/// Starts a frame: the header with `payload_bytes` still zero, and room
+/// reserved for `payload_hint` payload bytes.
+std::vector<std::uint8_t> begin_frame(FrameKind kind, std::uint64_t request_id,
+                                      std::size_t payload_hint) {
+  std::vector<std::uint8_t> out(kHeaderBytes);
+  out.reserve(kHeaderBytes + payload_hint);
+  FrameHeader h;
+  h.kind = kind;
+  h.request_id = request_id;
+  encode_header(h, out.data());
   return out;
 }
 
-std::vector<std::uint8_t> encode_response_payload(const InferResponse& r) {
+/// Seals a frame: fills in payload_bytes, the header's last field.
+std::vector<std::uint8_t> end_frame(std::vector<std::uint8_t> out) {
+  const auto payload_bytes =
+      static_cast<std::uint32_t>(out.size() - kHeaderBytes);
+  std::memcpy(out.data() + kHeaderBytes - 4, &payload_bytes, 4);
+  return out;
+}
+
+std::vector<std::uint8_t> stream_control_frame(FrameKind kind,
+                                               const StreamControl& c) {
+  ST_REQUIRE(c.stream_id != 0, "stream_id 0 is reserved");
+  std::vector<std::uint8_t> out = begin_frame(kind, c.request_id, 8);
+  put(out, c.stream_id);
+  return end_frame(std::move(out));
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> infer_request_frame(const InferRequest& r) {
+  std::vector<std::uint8_t> out =
+      begin_frame(FrameKind::kInferRequest, r.request_id,
+                  16 + r.data.size() * sizeof(float));
+  put_request_body(out, r);
+  return end_frame(std::move(out));
+}
+
+std::vector<std::uint8_t> infer_response_frame(const InferResponse& r) {
   ST_REQUIRE(r.spike_counts.size() == r.out_features,
              "response spike_counts does not match out_features");
-  std::vector<std::uint8_t> out;
-  out.reserve(32 + r.spike_counts.size() * sizeof(float));
+  std::vector<std::uint8_t> out =
+      begin_frame(FrameKind::kInferResponse, r.request_id,
+                  32 + r.spike_counts.size() * sizeof(float));
   put(out, r.out_features);
   put(out, r.batch);
   put(out, r.queue_ns);
   put(out, r.assemble_ns);
   put(out, r.infer_ns);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(r.spike_counts.data());
-  out.insert(out.end(), p, p + r.spike_counts.size() * sizeof(float));
-  return out;
+  put_floats(out, r.spike_counts);
+  return end_frame(std::move(out));
 }
 
-std::vector<std::uint8_t> encode_error_payload(const ErrorResponse& r) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + r.message.size());
+std::vector<std::uint8_t> error_frame(const ErrorResponse& r) {
+  std::vector<std::uint8_t> out =
+      begin_frame(FrameKind::kError, r.request_id, 8 + r.message.size());
   put(out, static_cast<std::uint32_t>(r.code));
   put(out, static_cast<std::uint32_t>(r.message.size()));
   out.insert(out.end(), r.message.begin(), r.message.end());
-  return out;
+  return end_frame(std::move(out));
 }
 
-std::vector<std::uint8_t> encode_stat_payload(const std::string& json) {
-  return std::vector<std::uint8_t>(json.begin(), json.end());
+std::vector<std::uint8_t> stat_request_frame(std::uint64_t request_id) {
+  return end_frame(begin_frame(FrameKind::kStatRequest, request_id, 0));
 }
 
-std::vector<std::uint8_t> encode_stream_control_payload(
-    const StreamControl& c) {
-  ST_REQUIRE(c.stream_id != 0, "stream_id 0 is reserved");
-  std::vector<std::uint8_t> out;
-  out.reserve(8);
-  put(out, c.stream_id);
-  return out;
+std::vector<std::uint8_t> stat_response_frame(std::uint64_t request_id,
+                                              const std::string& json) {
+  std::vector<std::uint8_t> out =
+      begin_frame(FrameKind::kStatResponse, request_id, json.size());
+  out.insert(out.end(), json.begin(), json.end());
+  return end_frame(std::move(out));
 }
 
-std::vector<std::uint8_t> encode_stream_step_payload(
-    const StreamStepRequest& r) {
+std::vector<std::uint8_t> stream_open_frame(const StreamControl& c) {
+  return stream_control_frame(FrameKind::kStreamOpen, c);
+}
+
+std::vector<std::uint8_t> stream_step_frame(const StreamStepRequest& r) {
   ST_REQUIRE(r.stream_id != 0, "stream_id 0 is reserved");
-  // The chunk body is exactly the v3 (== v2) infer-request layout, so the
-  // batcher and workers treat a step like any other request after the
-  // stream id is peeled off.
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + r.request.data.size() * sizeof(float));
+  // The chunk body is exactly the infer-request layout, so the batcher and
+  // workers treat a step like any other request after the stream id is
+  // peeled off.
+  std::vector<std::uint8_t> out =
+      begin_frame(FrameKind::kStreamStep, r.request.request_id,
+                  24 + r.request.data.size() * sizeof(float));
   put(out, r.stream_id);
-  const std::vector<std::uint8_t> body =
-      encode_request_payload(r.request, /*version=*/3);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  put_request_body(out, r.request);
+  return end_frame(std::move(out));
 }
 
-std::vector<std::uint8_t> encode_stream_close_reply_payload(
-    const StreamCloseReply& r) {
-  std::vector<std::uint8_t> out;
-  out.reserve(20 + r.cumulative_counts.size() * sizeof(float));
+std::vector<std::uint8_t> stream_close_frame(const StreamControl& c) {
+  return stream_control_frame(FrameKind::kStreamClose, c);
+}
+
+std::vector<std::uint8_t> stream_close_reply_frame(const StreamCloseReply& r) {
+  std::vector<std::uint8_t> out =
+      begin_frame(FrameKind::kStreamClose, r.request_id,
+                  20 + r.cumulative_counts.size() * sizeof(float));
   put(out, r.stream_id);
   put(out, r.steps_done);
   put(out, static_cast<std::uint32_t>(r.cumulative_counts.size()));
-  const auto* p =
-      reinterpret_cast<const std::uint8_t*>(r.cumulative_counts.data());
-  out.insert(out.end(), p, p + r.cumulative_counts.size() * sizeof(float));
-  return out;
-}
-
-}  // namespace detail
-
-RequestBuilder::RequestBuilder(std::uint32_t version) : version_(version) {
-  ST_REQUIRE(version_ >= 1 && version_ <= kProtocolVersion,
-             "unsupported protocol version " + std::to_string(version_));
-}
-
-std::vector<std::uint8_t> RequestBuilder::frame(
-    FrameKind kind, std::uint64_t request_id,
-    std::vector<std::uint8_t> payload) const {
-  FrameHeader h;
-  h.kind = kind;
-  h.version = version_;
-  h.request_id = request_id;
-  h.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  std::vector<std::uint8_t> out(kHeaderBytes + payload.size());
-  encode_header(h, out.data());
-  if (!payload.empty())
-    std::memcpy(out.data() + kHeaderBytes, payload.data(), payload.size());
-  return out;
-}
-
-std::vector<std::uint8_t> RequestBuilder::infer_request(
-    const InferRequest& r) const {
-  return frame(FrameKind::kInferRequest, r.request_id,
-               detail::encode_request_payload(r, version_));
-}
-
-std::vector<std::uint8_t> RequestBuilder::infer_response(
-    const InferResponse& r) const {
-  return frame(FrameKind::kInferResponse, r.request_id,
-               detail::encode_response_payload(r));
-}
-
-std::vector<std::uint8_t> RequestBuilder::error(const ErrorResponse& r) const {
-  return frame(FrameKind::kError, r.request_id,
-               detail::encode_error_payload(r));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stat_request(
-    std::uint64_t request_id) const {
-  return frame(FrameKind::kStatRequest, request_id, {});
-}
-
-std::vector<std::uint8_t> RequestBuilder::stat_response(
-    std::uint64_t request_id, const std::string& json) const {
-  return frame(FrameKind::kStatResponse, request_id,
-               detail::encode_stat_payload(json));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_open(
-    const StreamControl& c) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
-  return frame(FrameKind::kStreamOpen, c.request_id,
-               detail::encode_stream_control_payload(c));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_open_ack(
-    const StreamControl& c) const {
-  return stream_open(c);  // the ack is an echo frame of the same layout
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_step(
-    const StreamStepRequest& r) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
-  return frame(FrameKind::kStreamStep, r.request.request_id,
-               detail::encode_stream_step_payload(r));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_close(
-    const StreamControl& c) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
-  return frame(FrameKind::kStreamClose, c.request_id,
-               detail::encode_stream_control_payload(c));
-}
-
-std::vector<std::uint8_t> RequestBuilder::stream_close_reply(
-    const StreamCloseReply& r) const {
-  ST_REQUIRE(version_ >= 3, "streaming needs protocol version >= 3");
-  return frame(FrameKind::kStreamClose, r.request_id,
-               detail::encode_stream_close_reply_payload(r));
+  put_floats(out, r.cumulative_counts);
+  return end_frame(std::move(out));
 }
 
 InferRequest decode_request(std::uint64_t request_id,
-                            const std::vector<std::uint8_t>& payload,
-                            std::uint32_t version) {
-  InferRequest r;
-  r.request_id = request_id;
-  std::size_t off = 0;
-  r.num_steps = get<std::uint32_t>(payload, off, "num_steps");
-  r.elems_per_step = get<std::uint32_t>(payload, off, "elems_per_step");
-  if (version >= 2)
-    r.deadline_us = get<std::uint64_t>(payload, off, "deadline_us");
-  const std::size_t n =
-      static_cast<std::size_t>(r.num_steps) * r.elems_per_step;
-  // Checked by division: n * sizeof(float) can wrap modulo 2^64 for hostile
-  // dims (e.g. num_steps = elems_per_step = 2^31), which would let a tiny
-  // payload pass and turn resize(n) into an allocation bomb.
-  const std::size_t body = payload.size() - off;
-  ST_REQUIRE(body % sizeof(float) == 0 && body / sizeof(float) == n,
-             "request payload size does not match num_steps * elems");
-  r.data.resize(n);
-  std::memcpy(r.data.data(), payload.data() + off, n * sizeof(float));
-  return r;
+                            const std::vector<std::uint8_t>& payload) {
+  return get_request_body(request_id, payload, 0);
 }
 
 InferResponse decode_response(std::uint64_t request_id,
@@ -298,9 +265,7 @@ InferResponse decode_response(std::uint64_t request_id,
   r.infer_ns = get<std::uint64_t>(payload, off, "infer_ns");
   ST_REQUIRE(payload.size() == off + r.out_features * sizeof(float),
              "response payload size does not match out_features");
-  r.spike_counts.resize(r.out_features);
-  std::memcpy(r.spike_counts.data(), payload.data() + off,
-              r.out_features * sizeof(float));
+  r.spike_counts = get_floats(payload, off, r.out_features);
   return r;
 }
 
@@ -336,9 +301,7 @@ StreamStepRequest decode_stream_step(std::uint64_t request_id,
   std::size_t off = 0;
   r.stream_id = get<std::uint64_t>(payload, off, "stream_id");
   ST_REQUIRE(r.stream_id != 0, "stream_id 0 is reserved");
-  const std::vector<std::uint8_t> body(
-      payload.begin() + static_cast<std::ptrdiff_t>(off), payload.end());
-  r.request = decode_request(request_id, body, /*version=*/3);
+  r.request = get_request_body(request_id, payload, off);
   return r;
 }
 
@@ -352,9 +315,7 @@ StreamCloseReply decode_stream_close_reply(
   const auto n = get<std::uint32_t>(payload, off, "out_features");
   ST_REQUIRE(payload.size() == off + n * sizeof(float),
              "close reply payload size does not match out_features");
-  r.cumulative_counts.resize(n);
-  std::memcpy(r.cumulative_counts.data(), payload.data() + off,
-              n * sizeof(float));
+  r.cumulative_counts = get_floats(payload, off, n);
   return r;
 }
 

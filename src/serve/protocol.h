@@ -1,26 +1,20 @@
 // Wire protocol for the spiketune serving daemon.
 //
-// Framed binary messages over a reliable byte stream (TCP today, a
-// shared-memory ring tomorrow — the framing is transport-agnostic).  Every
-// frame is a fixed 20-byte header followed by `payload_bytes` of payload:
+// Framed binary messages over a reliable byte stream (TCP).  Every frame is
+// a fixed 20-byte header followed by `payload_bytes` of payload:
 //
 //   u32 magic        'STSV' (0x53545356) — rejects stray connections early
-//   u32 kind_ver     low byte: FrameKind; next byte: protocol version
+//   u32 kind_ver     low byte: FrameKind; next byte: protocol version (3)
 //   u64 request_id   client-chosen, echoed verbatim on the response
 //   u32 payload_bytes
 //
-// Versioning: the original protocol (version 1) left the upper 24 bits of
-// the kind word zero, so a legacy frame decodes as version 1 and keeps
-// working — a v1 infer-request simply has no deadline (budget 0 = none).
-// Version 2 adds a per-request `deadline_us` budget to the infer-request
-// payload and two new error codes (`deadline-exceeded`, `internal-error`).
-// Version 3 adds the streaming opcodes (STREAM_OPEN / STREAM_STEP /
-// STREAM_CLOSE, kinds 6-8): a client opens a persistent stream under a
-// 64-bit id, feeds it spike chunks incrementally (the daemon keeps the
-// stream's membrane state between chunks — see infer/stream.h), and reads
-// cumulative totals back at close.  v1/v2 frames are byte-identical to
-// before, and the daemon answers every frame with the version the request
-// carried, so an old peer never sees a new header.
+// There is one protocol version, 3.  decode_header rejects any other
+// version byte exactly as it rejects a bad magic.  An infer request always
+// carries a `deadline_us` budget (0 = none); the streaming opcodes
+// (STREAM_OPEN / STREAM_STEP / STREAM_CLOSE, kinds 6-8) let a client open a
+// persistent stream under a 64-bit id, feed it spike chunks incrementally
+// (the daemon keeps the stream's membrane state between chunks — see
+// infer/stream.h), and read cumulative totals back at close.
 //
 // One inference request carries ONE sample's spike window, shaped
 // [num_steps, elems_per_step]; the daemon coalesces concurrent requests
@@ -39,6 +33,10 @@
 // answered with the same infer-response frame (that chunk's counts);
 // STREAM_OPEN with an echo ack; STREAM_CLOSE with the stream's lifetime
 // totals.
+//
+// Frames are built one way on both sides: the *_frame functions below
+// return a complete header + payload buffer, which the client sends with
+// one write and the daemon hands to Connection::write_frame.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +47,8 @@ namespace spiketune::serve {
 
 inline constexpr std::uint32_t kMagic = 0x53545356u;  // "STSV"
 
-/// Current protocol version.  Version 1 (no version byte on the wire) is
-/// still decoded; anything above kProtocolVersion is rejected.
+/// The protocol version every frame carries in the second byte of its kind
+/// word.  It is the only version this daemon speaks.
 inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Hard upper bound on a frame's payload.  `payload_bytes` arrives from an
@@ -67,7 +65,7 @@ enum class FrameKind : std::uint32_t {
   kError = 3,
   kStatRequest = 4,   // empty payload: "snapshot your live stats"
   kStatResponse = 5,  // payload: one UTF-8 JSON document
-  // Version 3 streaming opcodes.  Direction disambiguates request vs
+  // Streaming opcodes.  Direction disambiguates request vs
   // reply: the daemon acks kStreamOpen with an echo frame of the same kind
   // and answers kStreamClose with a totals frame of the same kind.
   kStreamOpen = 6,   // c->s: {stream_id}; s->c ack: {stream_id}
@@ -80,8 +78,8 @@ enum class ErrorCode : std::uint32_t {
   kOverloaded = 1,        // admission control: queue at max depth — back off
   kBadRequest = 2,        // malformed frame or shape mismatch with the model
   kShuttingDown = 3,      // daemon is draining; no new work accepted
-  kDeadlineExceeded = 4,  // v2: deadline_us expired before inference — shed
-  kInternalError = 5,     // v2: inference failed for this request only
+  kDeadlineExceeded = 4,  // deadline_us expired before inference — shed
+  kInternalError = 5,     // inference failed for this request only
 };
 
 const char* error_code_name(ErrorCode code);
@@ -89,14 +87,13 @@ const char* error_code_name(ErrorCode code);
 struct FrameHeader {
   std::uint32_t magic = kMagic;
   FrameKind kind = FrameKind::kInferRequest;
-  std::uint32_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::uint32_t payload_bytes = 0;
 };
 inline constexpr std::size_t kHeaderBytes = 20;
 
 /// One sample's spike window: [num_steps, elems_per_step] floats.
-/// `deadline_us` (version >= 2) is the client's end-to-end latency budget
+/// `deadline_us` is the client's end-to-end latency budget
 /// measured from the instant the daemon finishes reading the frame; 0 means
 /// no deadline.  A request still queued when its budget expires is shed
 /// with kDeadlineExceeded instead of wasting inference on a stale answer.
@@ -104,7 +101,7 @@ struct InferRequest {
   std::uint64_t request_id = 0;
   std::uint32_t num_steps = 0;
   std::uint32_t elems_per_step = 0;
-  std::uint64_t deadline_us = 0;  // 0 = no deadline (and the v1 meaning)
+  std::uint64_t deadline_us = 0;  // 0 = no deadline
   std::vector<float> data;        // num_steps * elems_per_step
 };
 
@@ -124,7 +121,7 @@ struct ErrorResponse {
   std::string message;
 };
 
-// --- v3 streaming messages --------------------------------------------------
+// --- streaming messages --------------------------------------------------
 
 /// STREAM_OPEN / STREAM_CLOSE request, and the STREAM_OPEN ack: just the
 /// 64-bit stream id (nonzero; 0 is the "plain request" sentinel).
@@ -152,93 +149,37 @@ struct StreamCloseReply {
 };
 
 /// Header <-> raw bytes.  decode_header throws InvalidArgument on a bad
-/// magic (including byte-swapped: wrong-endian peer), unknown kind, a
-/// version above kProtocolVersion, a streaming kind on a pre-v3 frame, or a
-/// payload_bytes above kMaxPayloadBytes.  A legacy header (zero version
-/// byte) decodes as version 1.
+/// magic (including byte-swapped: wrong-endian peer), a version byte other
+/// than kProtocolVersion (including the zero byte of pre-versioning
+/// peers), an unknown kind, or a payload_bytes above kMaxPayloadBytes.
 void encode_header(const FrameHeader& h, std::uint8_t out[kHeaderBytes]);
 FrameHeader decode_header(const std::uint8_t in[kHeaderBytes]);
 
-/// Builds complete frames (header + payload, one contiguous buffer ready
-/// for send()) for one protocol version.  This replaces the former pattern
-/// of every call site pairing encode_header with one of four free payload
-/// encoders by hand — the version is stated once, at construction, and the
-/// header fields can no longer drift from the payload layout.  Streaming
-/// frames require version >= 3 and throw below it, exactly like a nonzero
-/// deadline requires version >= 2.
-class RequestBuilder {
- public:
-  explicit RequestBuilder(std::uint32_t version = kProtocolVersion);
-
-  std::uint32_t version() const { return version_; }
-
-  std::vector<std::uint8_t> infer_request(const InferRequest& r) const;
-  std::vector<std::uint8_t> infer_response(const InferResponse& r) const;
-  std::vector<std::uint8_t> error(const ErrorResponse& r) const;
-  std::vector<std::uint8_t> stat_request(std::uint64_t request_id) const;
-  std::vector<std::uint8_t> stat_response(std::uint64_t request_id,
-                                          const std::string& json) const;
-
-  // v3 streaming frames (request and reply directions).
-  std::vector<std::uint8_t> stream_open(const StreamControl& c) const;
-  std::vector<std::uint8_t> stream_open_ack(const StreamControl& c) const;
-  std::vector<std::uint8_t> stream_step(const StreamStepRequest& r) const;
-  std::vector<std::uint8_t> stream_close(const StreamControl& c) const;
-  std::vector<std::uint8_t> stream_close_reply(
-      const StreamCloseReply& r) const;
-
- private:
-  std::vector<std::uint8_t> frame(FrameKind kind, std::uint64_t request_id,
-                                  std::vector<std::uint8_t> payload) const;
-  std::uint32_t version_;
-};
-
-/// Canonical payload-only encoders (no header).  RequestBuilder composes
-/// these; the deprecated free functions below forward here.
-namespace detail {
-std::vector<std::uint8_t> encode_request_payload(const InferRequest& r,
-                                                 std::uint32_t version);
-std::vector<std::uint8_t> encode_response_payload(const InferResponse& r);
-std::vector<std::uint8_t> encode_error_payload(const ErrorResponse& r);
-std::vector<std::uint8_t> encode_stat_payload(const std::string& json);
-std::vector<std::uint8_t> encode_stream_control_payload(
-    const StreamControl& c);
-std::vector<std::uint8_t> encode_stream_step_payload(
-    const StreamStepRequest& r);
-std::vector<std::uint8_t> encode_stream_close_reply_payload(
-    const StreamCloseReply& r);
-}  // namespace detail
-
-/// Deprecated payload encoders, kept as forwarding shims so existing call
-/// sites (and their byte-level golden tests) compile unchanged; new code
-/// should build complete frames through RequestBuilder.  These will be
-/// deleted once the tree has migrated.
-inline std::vector<std::uint8_t> encode_request(
-    const InferRequest& r, std::uint32_t version = kProtocolVersion) {
-  return detail::encode_request_payload(r, version);
-}
-inline std::vector<std::uint8_t> encode_response(const InferResponse& r) {
-  return detail::encode_response_payload(r);
-}
-inline std::vector<std::uint8_t> encode_error(const ErrorResponse& r) {
-  return detail::encode_error_payload(r);
-}
-inline std::vector<std::uint8_t> encode_stat(const std::string& json) {
-  return detail::encode_stat_payload(json);
-}
+/// Complete frames (header + payload, one contiguous buffer ready for
+/// send()).  Each request_id comes from the message itself.
+std::vector<std::uint8_t> infer_request_frame(const InferRequest& r);
+std::vector<std::uint8_t> infer_response_frame(const InferResponse& r);
+std::vector<std::uint8_t> error_frame(const ErrorResponse& r);
+std::vector<std::uint8_t> stat_request_frame(std::uint64_t request_id);
+std::vector<std::uint8_t> stat_response_frame(std::uint64_t request_id,
+                                              const std::string& json);
+/// Streaming frames, request and reply directions.  The open ack is an echo
+/// of the open frame, so stream_open_frame builds both.
+std::vector<std::uint8_t> stream_open_frame(const StreamControl& c);
+std::vector<std::uint8_t> stream_step_frame(const StreamStepRequest& r);
+std::vector<std::uint8_t> stream_close_frame(const StreamControl& c);
+std::vector<std::uint8_t> stream_close_reply_frame(const StreamCloseReply& r);
 
 /// Payload decoders; throw InvalidArgument on truncated or inconsistent
 /// payloads (e.g. num_steps * elems disagreeing with the payload size).
-/// decode_request selects the layout by the header's `version`.
 InferRequest decode_request(std::uint64_t request_id,
-                            const std::vector<std::uint8_t>& payload,
-                            std::uint32_t version = kProtocolVersion);
+                            const std::vector<std::uint8_t>& payload);
 InferResponse decode_response(std::uint64_t request_id,
                               const std::vector<std::uint8_t>& payload);
 ErrorResponse decode_error(std::uint64_t request_id,
                            const std::vector<std::uint8_t>& payload);
 
-/// Streaming payload decoders (kinds 6-8 both directions).
+/// Streaming payload decoders (kinds 6-8, both directions).
 /// decode_stream_control reads an open/close request or an open ack;
 /// decode_stream_step reuses the infer-request layout after the stream id.
 StreamControl decode_stream_control(std::uint64_t request_id,

@@ -49,10 +49,10 @@ int main(int argc, char** argv) {
                 "rejections");
   flags.declare("max-steps", "64", "per-request window-length cap");
   flags.declare("max-streams", "4096",
-                "streaming (v3): max per-stream states held in memory; "
+                "streaming: max per-stream states held in memory; "
                 "beyond it the coldest streams spill to --stream-dir");
   flags.declare("stream-dir", "",
-                "streaming (v3): checkpoint directory for LRU-evicted and "
+                "streaming: checkpoint directory for LRU-evicted and "
                 "drain-checkpointed stream state (empty = no spilling; "
                 "opens past --max-streams are refused)");
   flags.declare("ledger", "", "write a run ledger into this directory");

@@ -179,13 +179,8 @@ void Server::reap_idle_connections() {
 
 void Server::respond_error(const std::shared_ptr<Connection>& conn,
                            std::uint64_t request_id, ErrorCode code,
-                           const std::string& message,
-                           std::uint32_t version) {
-  ErrorResponse err;
-  err.request_id = request_id;
-  err.code = code;
-  err.message = message;
-  conn->write_frame(FrameKind::kError, request_id, encode_error(err), version);
+                           const std::string& message) {
+  conn->write_frame(error_frame({request_id, code, message}));
 }
 
 void Server::shed_expired(std::vector<PendingRequest>& expired) {
@@ -202,8 +197,7 @@ void Server::shed_expired(std::vector<PendingRequest>& expired) {
     // whether or not the peer is still there to read it.
     respond_error(p.conn, p.request.request_id, ErrorCode::kDeadlineExceeded,
                   "deadline of " + std::to_string(p.request.deadline_us) +
-                      "us expired before inference",
-                  p.version);
+                      "us expired before inference");
   }
   expired.clear();
 }
@@ -235,8 +229,7 @@ void Server::reader_main(ReaderSlot* slot) {
                            header.request_id);
         stat_requests_.fetch_add(1, std::memory_order_relaxed);
         if (obs::metrics_enabled()) obs::add(serve_metric_ids().stat_requests);
-        conn->write_frame(FrameKind::kStatResponse, header.request_id,
-                          encode_stat(stat_json()), header.version);
+        conn->write_frame(stat_response_frame(header.request_id, stat_json()));
         continue;
       }
       if (header.kind == FrameKind::kStreamOpen ||
@@ -251,34 +244,31 @@ void Server::reader_main(ReaderSlot* slot) {
         } catch (const std::exception& e) {
           bad_requests_.fetch_add(1, std::memory_order_relaxed);
           respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                        e.what(), header.version);
+                        e.what());
           continue;
         }
         if (header.kind == FrameKind::kStreamOpen) {
           if (batcher_.draining()) {
             rejected_draining_.fetch_add(1, std::memory_order_relaxed);
             respond_error(conn, header.request_id, ErrorCode::kShuttingDown,
-                          "daemon is draining", header.version);
+                          "daemon is draining");
             continue;
           }
           switch (streams_->open(ctl.stream_id)) {
             case infer::StreamManager::OpenResult::kOk:
               owned_streams.insert(ctl.stream_id);
-              conn->write_frame(FrameKind::kStreamOpen, header.request_id,
-                                detail::encode_stream_control_payload(ctl),
-                                header.version);
+              conn->write_frame(stream_open_frame(ctl));
               break;
             case infer::StreamManager::OpenResult::kExists:
               bad_requests_.fetch_add(1, std::memory_order_relaxed);
               respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                             "stream " + std::to_string(ctl.stream_id) +
-                                " is already open",
-                            header.version);
+                                " is already open");
               break;
             case infer::StreamManager::OpenResult::kInvalid:
               bad_requests_.fetch_add(1, std::memory_order_relaxed);
               respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                            "stream id 0 is reserved", header.version);
+                            "stream id 0 is reserved");
               break;
             case infer::StreamManager::OpenResult::kCapacity:
               rejected_overload_.fetch_add(1, std::memory_order_relaxed);
@@ -287,8 +277,7 @@ void Server::reader_main(ReaderSlot* slot) {
                 obs::add(serve_metric_ids().rejected_overload);
               respond_error(conn, header.request_id, ErrorCode::kOverloaded,
                             "stream capacity reached (no checkpoint "
-                            "directory configured for eviction)",
-                            header.version);
+                            "directory configured for eviction)");
               break;
           }
         } else {  // kStreamClose: tear down, reply with lifetime totals.
@@ -310,22 +299,19 @@ void Server::reader_main(ReaderSlot* slot) {
             ST_LOG_WARN << "serve: closing stream " << ctl.stream_id
                         << " lost its totals (" << e.what() << ")";
             respond_error(conn, header.request_id, ErrorCode::kInternalError,
-                          e.what(), header.version);
+                          e.what());
             continue;
           }
           if (!known) {
             bad_requests_.fetch_add(1, std::memory_order_relaxed);
             respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                           "stream " + std::to_string(ctl.stream_id) +
-                              " is not open",
-                          header.version);
+                              " is not open");
             continue;
           }
           owned_streams.erase(ctl.stream_id);
           totals.steps_done = static_cast<std::uint64_t>(steps_done);
-          conn->write_frame(FrameKind::kStreamClose, header.request_id,
-                            detail::encode_stream_close_reply_payload(totals),
-                            header.version);
+          conn->write_frame(stream_close_reply_frame(totals));
         }
         continue;
       }
@@ -333,12 +319,11 @@ void Server::reader_main(ReaderSlot* slot) {
           header.kind != FrameKind::kStreamStep) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                      "expected an infer-request frame", header.version);
+                      "expected an infer-request frame");
         continue;
       }
       PendingRequest pending;
       pending.recv_ns = recv_ns;
-      pending.version = header.version;
       try {
         if (header.kind == FrameKind::kStreamStep) {
           StreamStepRequest sr =
@@ -347,7 +332,7 @@ void Server::reader_main(ReaderSlot* slot) {
           pending.request = std::move(sr.request);
         } else {
           pending.request =
-              decode_request(header.request_id, payload, header.version);
+              decode_request(header.request_id, payload);
         }
         ST_REQUIRE(pending.request.num_steps >= 1 &&
                        pending.request.num_steps <=
@@ -363,7 +348,7 @@ void Server::reader_main(ReaderSlot* slot) {
       } catch (const std::exception& e) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
-                      e.what(), header.version);
+                      e.what());
         continue;
       }
       if (pending.stream_id != 0 && !streams_->contains(pending.stream_id)) {
@@ -374,8 +359,7 @@ void Server::reader_main(ReaderSlot* slot) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
         respond_error(conn, header.request_id, ErrorCode::kBadRequest,
                       "stream " + std::to_string(pending.stream_id) +
-                          " is not open",
-                      header.version);
+                          " is not open");
         continue;
       }
       if (pending.request.deadline_us > 0) {
@@ -400,7 +384,6 @@ void Server::reader_main(ReaderSlot* slot) {
         obs::trace_flow_at("serve.request", pending.server_id, 's',
                            pending.recv_ns);
       }
-      const std::uint32_t version = pending.version;
       const std::uint64_t server_id = pending.server_id;
       switch (batcher_.submit(std::move(pending))) {
         case AdmitResult::kAdmitted:
@@ -418,12 +401,12 @@ void Server::reader_main(ReaderSlot* slot) {
           if (obs::metrics_enabled())
             obs::add(serve_metric_ids().rejected_overload);
           respond_error(conn, header.request_id, ErrorCode::kOverloaded,
-                        "queue at max depth; back off", version);
+                        "queue at max depth; back off");
           break;
         case AdmitResult::kDraining:
           rejected_draining_.fetch_add(1, std::memory_order_relaxed);
           respond_error(conn, header.request_id, ErrorCode::kShuttingDown,
-                        "daemon is draining", version);
+                        "daemon is draining");
           break;
       }
     }
@@ -499,9 +482,7 @@ void Server::worker_main(int index) {
     resp.spike_counts.assign(
         result.spike_counts.data() + row * out_features,
         result.spike_counts.data() + (row + 1) * out_features);
-    const bool sent =
-        p.conn->write_frame(FrameKind::kInferResponse, resp.request_id,
-                            encode_response(resp), p.version);
+    const bool sent = p.conn->write_frame(infer_response_frame(resp));
     if (sent) {
       served_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -609,7 +590,7 @@ void Server::worker_main(int index) {
                     << " failed (" << e.what() << "); answering the step "
                     << "with internal-error";
         respond_error(batch[i].conn, batch[i].request.request_id,
-                      ErrorCode::kInternalError, e.what(), batch[i].version);
+                      ErrorCode::kInternalError, e.what());
       }
     }
     if (!stream_rows.empty()) {
@@ -625,8 +606,7 @@ void Server::worker_main(int index) {
             respond_error(batch[i].conn, batch[i].request.request_id,
                           ErrorCode::kBadRequest,
                           "stream " + std::to_string(batch[i].stream_id) +
-                              " was closed before this step ran",
-                          batch[i].version);
+                              " was closed before this step ran");
           }  // acquire_failed rows were answered above
         } else {
           kept.push_back(std::move(batch[i]));
@@ -670,7 +650,7 @@ void Server::worker_main(int index) {
 
     // Per-row state table: persistent state for stream rows, reset scratch
     // for plain rows (so a plain row behaves exactly like the stateless
-    // run() it rode before v3).  pre_steps lets the isolation path detect
+    // run() it would ride alone).  pre_steps lets the isolation path detect
     // a stream the failed batch already advanced.
     while (scratch.size() < batch.size()) scratch.emplace_back(*model_);
     std::vector<infer::StreamState*> states(static_cast<std::size_t>(n));
@@ -757,7 +737,7 @@ void Server::worker_main(int index) {
           internal_errors_.fetch_add(1, std::memory_order_relaxed);
           if (obs::metrics_enabled()) obs::add(ids.internal_errors);
           respond_error(p.conn, p.request.request_id,
-                        ErrorCode::kInternalError, e.what(), p.version);
+                        ErrorCode::kInternalError, e.what());
         }
       }
     }
@@ -916,7 +896,7 @@ std::string Server::stat_json() const {
   deadline.set("shed_per_s", JsonValue(w_deadline_shed_.per_second_at(now)));
   root.set("deadline", deadline);
 
-  // Streaming (protocol v3): live occupancy + lifecycle totals.
+  // Streaming: live occupancy + lifecycle totals.
   const infer::StreamCounters sc = streams_->counters();
   JsonValue streams = JsonValue::make_object();
   streams.set("live", JsonValue(sc.live));

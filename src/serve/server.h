@@ -19,13 +19,13 @@
 // paths are bit-identical (DESIGN.md §10, §11).  bench/serve_loadgen's
 // parity gate enforces this end to end.
 //
-// Protocol v3 adds streaming: STREAM_OPEN and STREAM_CLOSE are handled
+// Streaming: STREAM_OPEN and STREAM_CLOSE are handled
 // inline at the reader (like STAT), while STREAM_STEP rides the same
 // batcher as plain requests — a worker swaps each stream's persistent
 // StreamState in around the batched session.run, so chunks from thousands
 // of concurrent streams coalesce into the same dynamic batches.  The
 // infer::StreamManager bounds in-memory state with LRU checkpoint/restore
-// (DESIGN.md §15); v1/v2 clients are untouched.
+// (DESIGN.md §15).
 //
 // Unhappy paths are first-class (DESIGN.md §13).  Every admitted request
 // is answered exactly once, by exactly one of: a response (served), a
@@ -112,7 +112,7 @@ struct ServerConfig {
   // fraction (serve/slo.h).
   double slo_target_ms = 0.0;
   double slo_budget = 0.01;
-  // Streaming (protocol v3).  max_live_streams bounds in-memory per-stream
+  // Streaming.  max_live_streams bounds in-memory per-stream
   // state; past it the LRU stream is checkpointed to stream_checkpoint_dir
   // and restored transparently on its next step.  With no directory set,
   // eviction is impossible, so opens past the bound are refused with
@@ -167,7 +167,7 @@ class Server {
     std::int64_t send_timeouts = 0;      // connections cut mid-write
     std::int64_t max_batch_seen = 0;
     std::int64_t stat_requests = 0;  // STAT snapshots served
-    // Streaming (v3): lifecycle tallies come from the StreamManager.
+    // Streaming: lifecycle tallies come from the StreamManager.
     std::int64_t streams_opened = 0;
     std::int64_t streams_closed = 0;
     std::int64_t streams_evicted = 0;
@@ -204,8 +204,7 @@ class Server {
   void worker_main(int index);
   void respond_error(const std::shared_ptr<Connection>& conn,
                      std::uint64_t request_id, ErrorCode code,
-                     const std::string& message,
-                     std::uint32_t version = kProtocolVersion);
+                     const std::string& message);
   /// Answers every request in `expired` with kDeadlineExceeded.
   void shed_expired(std::vector<PendingRequest>& expired);
   void reap_finished_readers();
@@ -248,7 +247,7 @@ class Server {
   std::atomic<std::int64_t> stream_orphan_steps_{0};
   std::atomic<std::int64_t> stream_auto_closed_{0};
 
-  // Per-stream persistent state (protocol v3), shared by readers (open /
+  // Per-stream persistent state, shared by readers (open /
   // close, inline) and workers (acquire / release around each batch).
   std::unique_ptr<infer::StreamManager> streams_;
 

@@ -163,16 +163,7 @@ bool TcpConnection::write_all_bounded(const std::uint8_t* p, std::size_t n,
   return true;
 }
 
-bool TcpConnection::write_frame(FrameKind kind, std::uint64_t request_id,
-                                const std::vector<std::uint8_t>& payload,
-                                std::uint32_t version) {
-  FrameHeader h;
-  h.kind = kind;
-  h.version = version;
-  h.request_id = request_id;
-  h.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  std::uint8_t raw[kHeaderBytes];
-  encode_header(h, raw);
+bool TcpConnection::write_frame(const std::vector<std::uint8_t>& frame) {
   const std::uint64_t deadline_ns =
       send_timeout_ms_ > 0
           ? obs::telemetry_now_ns() +
@@ -181,11 +172,7 @@ bool TcpConnection::write_frame(FrameKind kind, std::uint64_t request_id,
   std::lock_guard<std::mutex> lock(write_mu_);
   if (fd_ < 0 || aborted_.load(std::memory_order_relaxed)) return false;
   errno = 0;
-  const bool ok =
-      write_all_bounded(raw, kHeaderBytes, deadline_ns) &&
-      (payload.empty() ||
-       write_all_bounded(payload.data(), payload.size(), deadline_ns));
-  if (ok) {
+  if (write_all_bounded(frame.data(), frame.size(), deadline_ns)) {
     touch_activity();
     return true;
   }
@@ -325,7 +312,7 @@ bool TcpClient::send_frame(const std::vector<std::uint8_t>& frame) {
 
 TcpClient::Reply TcpClient::roundtrip(const InferRequest& request) {
   Reply reply;
-  if (!send_frame(RequestBuilder().infer_request(request))) {
+  if (!send_frame(infer_request_frame(request))) {
     reply.disconnected = true;
     return reply;
   }
@@ -378,7 +365,7 @@ bool TcpClient::read_reply_frame(FrameHeader& header,
 
 TcpClient::StatReply TcpClient::stat(std::uint64_t request_id) {
   StatReply reply;
-  if (!send_frame(RequestBuilder().stat_request(request_id))) {
+  if (!send_frame(stat_request_frame(request_id))) {
     reply.disconnected = true;
     return reply;
   }
@@ -399,7 +386,7 @@ TcpClient::StreamAck TcpClient::stream_open(std::uint64_t stream_id,
                                             std::uint64_t request_id) {
   StreamAck ack;
   StreamControl c{request_id, stream_id};
-  if (!send_frame(RequestBuilder().stream_open(c))) {
+  if (!send_frame(stream_open_frame(c))) {
     ack.disconnected = true;
     return ack;
   }
@@ -428,7 +415,7 @@ TcpClient::Reply TcpClient::stream_step(std::uint64_t stream_id,
   StreamStepRequest step;
   step.stream_id = stream_id;
   step.request = request;
-  if (!send_frame(RequestBuilder().stream_step(step))) {
+  if (!send_frame(stream_step_frame(step))) {
     reply.disconnected = true;
     return reply;
   }
@@ -453,7 +440,7 @@ TcpClient::StreamCloseResult TcpClient::stream_close(
     std::uint64_t stream_id, std::uint64_t request_id) {
   StreamCloseResult result;
   StreamControl c{request_id, stream_id};
-  if (!send_frame(RequestBuilder().stream_close(c))) {
+  if (!send_frame(stream_close_frame(c))) {
     result.disconnected = true;
     return result;
   }

@@ -2,20 +2,16 @@
 //
 // The daemon is written against two small interfaces — Listener (produce
 // connections) and Connection (framed, bidirectional, wake-able) — so the
-// byte-moving layer can be swapped without touching the batcher or the
-// workers.  TCP is the first implementation; a local shared-memory ring
-// would implement the same pair (accept() mapping a client's ring segment,
-// read_frame()/write_frame() moving frames through it) and slot straight
-// into Server.  The split mirrors the distributed-server / tcp / shm
-// decomposition common in serving stacks.  serve/fault.h wraps this layer
-// with a deterministic fault injector for chaos testing.
+// byte-moving layer stays out of the batcher and the workers.  TCP is the
+// one implementation; serve/fault.h wraps it with a deterministic fault
+// injector for chaos testing.
 //
 // Threading contract:
 //   * read_frame() is called by exactly one reader thread per connection;
 //   * write_frame() is thread-safe — worker threads complete batches out
 //     of order and respond directly, so writes serialize on an internal
-//     mutex and each frame is sent atomically (header + payload in one
-//     locked section);
+//     mutex and each frame (one complete buffer from the serve/protocol.h
+//     *_frame functions) is sent atomically in one locked section;
 //   * every blocking call takes a `wake_fd`: when that descriptor becomes
 //     readable the call returns early (nullptr / false), which is how the
 //     daemon unwedges its acceptor and readers at shutdown without closing
@@ -56,12 +52,11 @@ class Connection {
                           std::vector<std::uint8_t>& payload,
                           int wake_fd) = 0;
 
-  /// Sends one frame (thread-safe; atomic per frame).  Returns false when
-  /// the peer is gone or the send timeout expired — callers treat that as
-  /// "response dropped".
-  virtual bool write_frame(FrameKind kind, std::uint64_t request_id,
-                           const std::vector<std::uint8_t>& payload,
-                           std::uint32_t version = kProtocolVersion) = 0;
+  /// Sends one complete frame, header included, as built by the
+  /// serve/protocol.h *_frame functions (thread-safe; atomic per frame).
+  /// Returns false when the peer is gone or the send timeout expired —
+  /// callers treat that as "response dropped".
+  virtual bool write_frame(const std::vector<std::uint8_t>& frame) = 0;
 
   /// Hard-closes the connection (idempotent); pending reads/writes fail.
   /// Only safe once no other thread is blocked inside this connection.
@@ -116,9 +111,7 @@ class TcpConnection : public Connection {
 
   bool read_frame(FrameHeader& header, std::vector<std::uint8_t>& payload,
                   int wake_fd) override;
-  bool write_frame(FrameKind kind, std::uint64_t request_id,
-                   const std::vector<std::uint8_t>& payload,
-                   std::uint32_t version = kProtocolVersion) override;
+  bool write_frame(const std::vector<std::uint8_t>& frame) override;
   void close() override;
   void abort() override;
   void set_send_timeout_ms(int timeout_ms,
@@ -222,7 +215,7 @@ class TcpClient {
   };
   StatReply stat(std::uint64_t request_id = 0);
 
-  /// v3 streaming.  stream_open blocks for the daemon's echo ack;
+  /// Streaming.  stream_open blocks for the daemon's echo ack;
   /// stream_step blocks for the chunk's infer response (Reply semantics,
   /// same as roundtrip); stream_close blocks for the lifetime totals.
   struct StreamAck {
@@ -247,7 +240,7 @@ class TcpClient {
  private:
   bool read_reply_frame(FrameHeader& header,
                         std::vector<std::uint8_t>& payload);
-  /// Sends one RequestBuilder frame; false on a broken connection.
+  /// Sends one complete frame; false on a broken connection.
   bool send_frame(const std::vector<std::uint8_t>& frame);
 
   int fd_ = -1;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -91,7 +92,6 @@ TEST(CheckpointV2, MetaRoundTrips) {
   save_checkpoint(path, sample_records(1.0f), meta);
 
   const Checkpoint ckpt = load_checkpoint_full(path);
-  EXPECT_EQ(ckpt.version, 2u);
   ASSERT_TRUE(ckpt.meta.present);
   EXPECT_EQ(ckpt.meta.epoch, 7);
   EXPECT_EQ(ckpt.meta.opt_step, 91);
@@ -111,19 +111,32 @@ TEST(CheckpointV2, NoMetaSnapshotLoadsWithPresentFalse) {
   const std::string path = tmp_path("nometa.stk");
   save_checkpoint(path, sample_records(1.0f));
   const Checkpoint ckpt = load_checkpoint_full(path);
-  EXPECT_EQ(ckpt.version, 2u);
   EXPECT_FALSE(ckpt.meta.present);
+  // On disk: magic "STK2", then version 2.
+  EXPECT_EQ(read_file(path).substr(0, 8),
+            std::string("2KTS\x02\x00\x00\x00", 8));
 }
 
-TEST(CheckpointV1, LegacyRoundTripStillLoads) {
-  const std::string path = tmp_path("legacy.stk");
-  save_checkpoint_v1(path, sample_records(9.0f));
-  const Checkpoint ckpt = load_checkpoint_full(path);
-  EXPECT_EQ(ckpt.version, 1u);
-  EXPECT_FALSE(ckpt.meta.present);
-  ASSERT_EQ(ckpt.records.size(), 2u);
-  EXPECT_FLOAT_EQ(ckpt.records[0].value[0], 9.0f);
-  EXPECT_FLOAT_EQ(ckpt.records[1].value[2], 10.0f);
+TEST(CheckpointCorruption, OtherContainerVersionsRejected) {
+  // A legacy STK1 file (magic, version 1, zero records) is not a checkpoint
+  // any more.
+  const std::string stk1 = tmp_path("stk1.stk");
+  write_file(stk1, std::string("1KTS\x01\x00\x00\x00", 8) +
+                       std::string(8, '\0'));
+  EXPECT_THROW(load_checkpoint(stk1), InvalidArgument);
+
+  // Nor is an STK2 magic with any version but 2, even under a valid CRC.
+  const std::string path = tmp_path("version.stk");
+  save_checkpoint(path, sample_records(1.0f));
+  std::string bytes = read_file(path);
+  for (const char version : {'\x01', '\x03'}) {
+    bytes[4] = version;
+    const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+    std::memcpy(&bytes[bytes.size() - 4], &crc, 4);
+    write_file(path, bytes);
+    EXPECT_THROW(load_checkpoint(path), InvalidArgument)
+        << "version " << int{version};
+  }
 }
 
 TEST(CheckpointCorruption, ZeroLengthFileRejected) {

@@ -43,6 +43,11 @@ namespace {
 
 // --- protocol ---------------------------------------------------------------
 
+/// The payload of a complete frame: everything after the header.
+std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& frame) {
+  return {frame.begin() + kHeaderBytes, frame.end()};
+}
+
 TEST(ServeProtocol, HeaderRoundTrip) {
   FrameHeader h;
   h.kind = FrameKind::kInferResponse;
@@ -57,7 +62,7 @@ TEST(ServeProtocol, HeaderRoundTrip) {
   EXPECT_EQ(back.payload_bytes, h.payload_bytes);
 }
 
-TEST(ServeProtocol, RejectsBadMagicAndUnknownKind) {
+TEST(ServeProtocol, RejectsBadMagicVersionAndUnknownKind) {
   FrameHeader h;
   std::uint8_t raw[kHeaderBytes];
   encode_header(h, raw);
@@ -72,6 +77,18 @@ TEST(ServeProtocol, RejectsBadMagicAndUnknownKind) {
   EXPECT_THROW(decode_header(bad), InvalidArgument);
   std::memcpy(bad, raw, kHeaderBytes);
   bad[4] = 0x7f;  // kind outside the enum
+  EXPECT_THROW(decode_header(bad), InvalidArgument);
+  // Any version byte but 3: 0 is what a pre-versioning peer sends; 1, 2
+  // and 4+ are other protocols.
+  ASSERT_EQ(raw[5], kProtocolVersion);
+  for (const int v : {0, 1, 2, 4, 255}) {
+    std::memcpy(bad, raw, kHeaderBytes);
+    bad[5] = static_cast<std::uint8_t>(v);
+    EXPECT_THROW(decode_header(bad), InvalidArgument) << "version " << v;
+  }
+  // The upper two bytes of the kind word are reserved zero.
+  std::memcpy(bad, raw, kHeaderBytes);
+  bad[7] = 1;
   EXPECT_THROW(decode_header(bad), InvalidArgument);
 }
 
@@ -92,13 +109,12 @@ TEST(ServeProtocol, HeaderRejectsOversizedPayload) {
 TEST(ServeProtocol, RejectsOverflowingRequestDims) {
   // num_steps = elems_per_step = 2^31: the element count times
   // sizeof(float) wraps to 0 modulo 2^64, so a multiply-based size check
-  // would accept this 8-byte payload and then die inside resize().  The
+  // would accept this 16-byte payload and then die inside resize().  The
   // decoder must reject it as InvalidArgument instead.
   const std::uint32_t huge = 1u << 31;
-  std::vector<std::uint8_t> payload;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&huge);
-  payload.insert(payload.end(), p, p + 4);  // num_steps
-  payload.insert(payload.end(), p, p + 4);  // elems_per_step
+  std::vector<std::uint8_t> payload(16, 0);  // zero deadline_us @8
+  std::memcpy(payload.data(), &huge, 4);      // num_steps
+  std::memcpy(payload.data() + 4, &huge, 4);  // elems_per_step
   EXPECT_THROW(decode_request(42, payload), InvalidArgument);
 
   // A trailing byte count that is not a multiple of sizeof(float) can
@@ -115,7 +131,8 @@ TEST(ServeProtocol, RequestRoundTripAndTruncationChecks) {
   Rng rng(7);
   for (int i = 0; i < 12; ++i)
     r.data.push_back(static_cast<float>(rng.normal()));
-  const std::vector<std::uint8_t> payload = encode_request(r);
+  const std::vector<std::uint8_t> payload =
+      payload_of(infer_request_frame(r));
   const InferRequest back = decode_request(r.request_id, payload);
   EXPECT_EQ(back.request_id, 42u);
   EXPECT_EQ(back.num_steps, 3u);
@@ -141,7 +158,8 @@ TEST(ServeProtocol, ResponseAndErrorRoundTrip) {
   r.assemble_ns = 777;
   r.infer_ns = 987654321;
   r.spike_counts = {1.0f, 0.0f, 2.5f};
-  const InferResponse back = decode_response(9, encode_response(r));
+  const InferResponse back =
+      decode_response(9, payload_of(infer_response_frame(r)));
   EXPECT_EQ(back.batch, 5u);
   EXPECT_EQ(back.queue_ns, 1234u);
   EXPECT_EQ(back.assemble_ns, 777u);
@@ -155,7 +173,7 @@ TEST(ServeProtocol, ResponseAndErrorRoundTrip) {
   e.request_id = 9;
   e.code = ErrorCode::kOverloaded;
   e.message = "queue at max depth";
-  const ErrorResponse eback = decode_error(9, encode_error(e));
+  const ErrorResponse eback = decode_error(9, payload_of(error_frame(e)));
   EXPECT_EQ(eback.code, ErrorCode::kOverloaded);
   EXPECT_EQ(eback.message, "queue at max depth");
   EXPECT_STREQ(error_code_name(ErrorCode::kShuttingDown), "shutting-down");
@@ -163,73 +181,138 @@ TEST(ServeProtocol, ResponseAndErrorRoundTrip) {
 
 TEST(ServeProtocol, StatPayloadRoundTrip) {
   const std::string json = "{\"served\":3,\"qps\":12.5}";
-  EXPECT_EQ(decode_stat(encode_stat(json)), json);
-  EXPECT_TRUE(decode_stat(encode_stat("")).empty());
+  EXPECT_EQ(decode_stat(payload_of(stat_response_frame(1, json))), json);
+  EXPECT_TRUE(decode_stat(payload_of(stat_response_frame(1, ""))).empty());
 }
 
-TEST(ServeProtocol, HeaderVersionRoundTripAndLegacyZeroByte) {
-  FrameHeader h;
-  h.kind = FrameKind::kInferRequest;
-  h.version = 2;
-  std::uint8_t raw[kHeaderBytes];
-  encode_header(h, raw);
-  EXPECT_EQ(raw[5], 2);  // version lives in the kind word's second byte
-  EXPECT_EQ(decode_header(raw).version, 2u);
-
-  // Version 1 encodes as a ZERO byte so a v1 frame is byte-identical to
-  // the pre-versioning wire format, and a zero byte decodes back as v1 —
-  // old clients and old captures keep working unchanged.
-  h.version = 1;
-  encode_header(h, raw);
-  EXPECT_EQ(raw[5], 0);
-  EXPECT_EQ(decode_header(raw).version, 1u);
-
-  // A version above kProtocolVersion is a different protocol: rejected.
-  raw[5] = static_cast<std::uint8_t>(kProtocolVersion + 1);
-  EXPECT_THROW(decode_header(raw), InvalidArgument);
-}
-
-TEST(ServeProtocol, RequestDeadlineRoundTripAndV1Layout) {
+TEST(ServeProtocol, RequestDeadlineRoundTrip) {
   InferRequest r;
   r.request_id = 13;
   r.num_steps = 2;
   r.elems_per_step = 3;
   r.deadline_us = 123456;
   r.data = {1, 0, 1, 0, 1, 0};
-  const std::vector<std::uint8_t> v2 = encode_request(r);
-  EXPECT_EQ(v2.size(), 16u + r.data.size() * sizeof(float));
-  const InferRequest back = decode_request(13, v2);
+  const std::vector<std::uint8_t> payload =
+      payload_of(infer_request_frame(r));
+  EXPECT_EQ(payload.size(), 16u + r.data.size() * sizeof(float));
+  const InferRequest back = decode_request(13, payload);
   EXPECT_EQ(back.deadline_us, 123456u);
   EXPECT_EQ(back.num_steps, 2u);
   ASSERT_EQ(back.data.size(), r.data.size());
-
-  // The v1 layout has no deadline field: 8 bytes of dims + the floats,
-  // exactly what the original protocol shipped.
-  r.deadline_us = 0;
-  const std::vector<std::uint8_t> v1 = encode_request(r, 1);
-  EXPECT_EQ(v1.size(), 8u + r.data.size() * sizeof(float));
-  EXPECT_EQ(decode_request(13, v1, 1).deadline_us, 0u);
-
-  // A nonzero deadline cannot ride a v1 frame: refused, never dropped.
-  r.deadline_us = 5;
-  EXPECT_THROW(encode_request(r, 1), Error);
 }
 
-TEST(ServeProtocol, V2ErrorCodesRoundTrip) {
+TEST(ServeProtocol, DeadlineAndInternalErrorCodesRoundTrip) {
   ErrorResponse e;
   e.request_id = 4;
   e.code = ErrorCode::kDeadlineExceeded;
   e.message = "late";
-  EXPECT_EQ(decode_error(4, encode_error(e)).code,
+  EXPECT_EQ(decode_error(4, payload_of(error_frame(e))).code,
             ErrorCode::kDeadlineExceeded);
   e.code = ErrorCode::kInternalError;
-  EXPECT_EQ(decode_error(4, encode_error(e)).code, ErrorCode::kInternalError);
+  EXPECT_EQ(decode_error(4, payload_of(error_frame(e))).code,
+            ErrorCode::kInternalError);
   EXPECT_STREQ(error_code_name(ErrorCode::kDeadlineExceeded),
                "deadline-exceeded");
   EXPECT_STREQ(error_code_name(ErrorCode::kInternalError), "internal-error");
   // One past the last known code: rejected at decode.
   e.code = static_cast<ErrorCode>(6);
-  EXPECT_THROW(decode_error(4, encode_error(e)), InvalidArgument);
+  EXPECT_THROW(decode_error(4, payload_of(error_frame(e))), InvalidArgument);
+}
+
+/// Little-endian wire bytes of one scalar, for spelling out expected frames.
+template <typename T>
+std::vector<std::uint8_t> le(T v) {
+  std::vector<std::uint8_t> out(sizeof(T));
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(T));
+    out[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> cat(
+    std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+/// The 20 header bytes: magic "STSV", kind | 3 << 8, request id, length.
+std::vector<std::uint8_t> v3_header(std::uint8_t kind, std::uint64_t id,
+                                    std::uint32_t payload_bytes) {
+  return cat({{0x56, 0x53, 0x54, 0x53, kind, 0x03, 0x00, 0x00}, le(id),
+              le(payload_bytes)});
+}
+
+TEST(ServeProtocol, FramesMatchTheV3Layout) {
+  const std::uint64_t id = 0x0102030405060708ULL;
+  EXPECT_EQ(v3_header(1, id, 0),
+            (std::vector<std::uint8_t>{0x56, 0x53, 0x54, 0x53, 0x01, 0x03,
+                                       0x00, 0x00, 0x08, 0x07, 0x06, 0x05,
+                                       0x04, 0x03, 0x02, 0x01, 0x00, 0x00,
+                                       0x00, 0x00}));
+
+  InferRequest req;
+  req.request_id = id;
+  req.num_steps = 2;
+  req.elems_per_step = 1;
+  req.deadline_us = 99;
+  req.data = {1.0f, 0.5f};
+  // num_steps @0, elems_per_step @4, deadline_us @8, floats @16.
+  const auto req_body = cat({le(2u), le(1u), le(std::uint64_t{99}),
+                             le(1.0f), le(0.5f)});
+  EXPECT_EQ(infer_request_frame(req), cat({v3_header(1, id, 24), req_body}));
+
+  InferResponse resp;
+  resp.request_id = id;
+  resp.out_features = 2;
+  resp.batch = 3;
+  resp.queue_ns = 10;
+  resp.assemble_ns = 11;
+  resp.infer_ns = 12;
+  resp.spike_counts = {4.0f, 0.0f};
+  // out_features @0, batch @4, queue_ns @8, assemble_ns @16, infer_ns @24,
+  // counts @32.
+  EXPECT_EQ(infer_response_frame(resp),
+            cat({v3_header(2, id, 40), le(2u), le(3u), le(std::uint64_t{10}),
+                 le(std::uint64_t{11}), le(std::uint64_t{12}), le(4.0f),
+                 le(0.0f)}));
+
+  // code @0, message length @4, message @8.
+  EXPECT_EQ(error_frame({id, ErrorCode::kOverloaded, "busy"}),
+            cat({v3_header(3, id, 12), le(1u), le(4u), {'b', 'u', 's', 'y'}}));
+
+  EXPECT_EQ(stat_request_frame(id), v3_header(4, id, 0));
+  EXPECT_EQ(stat_response_frame(id, "{}"),
+            cat({v3_header(5, id, 2), {'{', '}'}}));
+
+  // Stream control (open, its echo ack, and close): stream_id @0.
+  const StreamControl ctl{id, 0x42};
+  EXPECT_EQ(stream_open_frame(ctl),
+            cat({v3_header(6, id, 8), le(std::uint64_t{0x42})}));
+  EXPECT_EQ(stream_close_frame(ctl),
+            cat({v3_header(8, id, 8), le(std::uint64_t{0x42})}));
+
+  // Step: stream_id @0, then the infer-request body @8.
+  EXPECT_EQ(stream_step_frame({0x42, req}),
+            cat({v3_header(7, id, 32), le(std::uint64_t{0x42}), req_body}));
+
+  // Close reply: stream_id @0, steps_done @8, count @16, totals @20.
+  StreamCloseReply reply;
+  reply.request_id = id;
+  reply.stream_id = 0x42;
+  reply.steps_done = 9;
+  reply.cumulative_counts = {2.0f};
+  EXPECT_EQ(stream_close_reply_frame(reply),
+            cat({v3_header(8, id, 24), le(std::uint64_t{0x42}),
+                 le(std::uint64_t{9}), le(1u), le(2.0f)}));
+
+  // Every frame decodes back to its own header.
+  const FrameHeader h = decode_header(infer_request_frame(req).data());
+  EXPECT_EQ(h.kind, FrameKind::kInferRequest);
+  EXPECT_EQ(h.request_id, id);
+  EXPECT_EQ(h.payload_bytes, 24u);
 }
 
 // --- batcher ----------------------------------------------------------------
@@ -552,41 +635,26 @@ bool recv_frame_raw(int fd, FrameHeader& header,
   return payload.empty() || recv_exact(fd, payload.data(), payload.size());
 }
 
-/// One full frame (header + payload) as raw wire bytes.
-std::vector<std::uint8_t> frame_bytes(const InferRequest& req,
-                                      std::uint32_t version) {
-  const std::vector<std::uint8_t> payload = encode_request(req, version);
-  FrameHeader h;
-  h.kind = FrameKind::kInferRequest;
-  h.version = version;
-  h.request_id = req.request_id;
-  h.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  std::vector<std::uint8_t> out(kHeaderBytes);
-  encode_header(h, out.data());
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
 TEST(ServeServer, HostileFramesNeverKillTheDaemon) {
   MlpServer s;
   const int port = s.server->port();
 
-  // 1. Overflowing dims (num_steps = elems = 2^31 in an 8-byte payload):
+  // 1. Overflowing dims (num_steps = elems = 2^31 in a 16-byte payload):
   //    answered with bad-request; the connection stays usable.
   {
     const int fd = connect_raw(port);
     FrameHeader h;
     h.kind = FrameKind::kInferRequest;
     h.request_id = 77;
-    h.payload_bytes = 8;
+    h.payload_bytes = 16;
     std::uint8_t raw[kHeaderBytes];
     encode_header(h, raw);
     send_raw(fd, raw, kHeaderBytes);
     const std::uint32_t huge = 1u << 31;
-    std::uint8_t dims[8];
-    std::memcpy(dims, &huge, 4);
-    std::memcpy(dims + 4, &huge, 4);
-    send_raw(fd, dims, 8);
+    std::uint8_t body[16] = {};  // dims, then a zero deadline_us
+    std::memcpy(body, &huge, 4);
+    std::memcpy(body + 4, &huge, 4);
+    send_raw(fd, body, 16);
     FrameHeader rh;
     std::vector<std::uint8_t> rp;
     ASSERT_TRUE(recv_frame_raw(fd, rh, rp));
@@ -611,9 +679,28 @@ TEST(ServeServer, HostileFramesNeverKillTheDaemon) {
     ::close(fd);
   }
 
-  // 3. The daemon survived both: a well-formed request still round-trips
-  //    with bitwise parity.
+  // 3. Any version byte but 3 — the zero byte of a pre-versioning peer, an
+  //    older version, a newer one — is foreign framing: the daemon drops
+  //    the connection and counts a bad request, like a bad magic.
   Rng rng(5);
+  for (const std::uint8_t version : {0, 2, 4}) {
+    const std::int64_t bad_before = s.server->stats().bad_requests;
+    std::vector<std::uint8_t> frame = infer_request_frame(
+        random_request(80 + version, 4, s.per_sample.numel(), rng));
+    frame[5] = version;  // the kind word's second byte
+    const int fd = connect_raw(port);
+    send_raw(fd, frame.data(), frame.size());
+    std::uint8_t b;
+    EXPECT_LE(::recv(fd, &b, 1, 0), 0) << "version " << int{version};
+    ::close(fd);
+    // The reader counts the bad request before it aborts the connection,
+    // so the EOF above already implies the increment.
+    EXPECT_EQ(s.server->stats().bad_requests, bad_before + 1)
+        << "version " << int{version};
+  }
+
+  // 4. The daemon survived all of it: a well-formed request still
+  //    round-trips with bitwise parity.
   TcpClient client("127.0.0.1", port, 2000);
   const InferRequest req = random_request(9, 4, s.per_sample.numel(), rng);
   const TcpClient::Reply reply = client.roundtrip(req);
@@ -622,7 +709,7 @@ TEST(ServeServer, HostileFramesNeverKillTheDaemon) {
   EXPECT_EQ(std::memcmp(reply.response.spike_counts.data(), want.data(),
                         want.size() * sizeof(float)),
             0);
-  EXPECT_GE(s.server->stats().bad_requests, 2);
+  EXPECT_GE(s.server->stats().bad_requests, 5);
 }
 
 TEST(ServeServer, DrainAnswersInFlightRequestsAndStopsAdmissions) {
@@ -697,6 +784,15 @@ TEST(ServeServer, StatReportsConsistentWindowedBreakdown) {
     // The response metadata carries the per-request stage split.
     EXPECT_GT(reply.response.infer_ns, 0u);
   }
+  // A worker counts a reply, fills the windows and records its span only
+  // after the reply is on the wire, so the last reply can reach the client
+  // before the daemon has counted it.  The span is recorded last: wait for
+  // it, then every total below is final.
+  const auto settle =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (s.server->spans().recorded() < kRequests &&
+         std::chrono::steady_clock::now() < settle)
+    std::this_thread::yield();
 
   // STAT on the same connection, interleaved with inference traffic.
   const TcpClient::StatReply stat = client.stat(777);
@@ -777,37 +873,6 @@ TEST(ServeServer, StatAnswersBeforeAnyInferenceTraffic) {
 }
 
 // --- deadlines, poison isolation, connection hygiene ------------------------
-
-TEST(ServeServer, LegacyV1ClientRoundTripsByteCompatibly) {
-  MlpServer s;
-  Rng rng(17);
-  const InferRequest req = random_request(5, 4, s.per_sample.numel(), rng);
-  const std::vector<std::uint8_t> frame = frame_bytes(req, /*version=*/1);
-  EXPECT_EQ(frame[5], 0);  // v1 on the wire: zero version byte
-  // v1 payload layout: dims only, no deadline field.
-  EXPECT_EQ(frame.size(), kHeaderBytes + 8 + req.data.size() * sizeof(float));
-
-  const int fd = connect_raw(s.server->port());
-  send_raw(fd, frame.data(), frame.size());
-  // The daemon mirrors the request's version: the reply header must be
-  // byte-identical to the pre-versioning format (zero version byte).
-  std::uint8_t rraw[kHeaderBytes];
-  ASSERT_TRUE(recv_exact(fd, rraw, kHeaderBytes));
-  EXPECT_EQ(rraw[5], 0);
-  const FrameHeader rh = decode_header(rraw);
-  EXPECT_EQ(rh.version, 1u);
-  ASSERT_EQ(rh.kind, FrameKind::kInferResponse);
-  std::vector<std::uint8_t> rp(rh.payload_bytes);
-  ASSERT_TRUE(recv_exact(fd, rp.data(), rp.size()));
-  ::close(fd);
-
-  const InferResponse resp = decode_response(rh.request_id, rp);
-  const std::vector<float> want = reference_counts(s.model, s.per_sample, req);
-  ASSERT_EQ(resp.spike_counts.size(), want.size());
-  EXPECT_EQ(std::memcmp(resp.spike_counts.data(), want.data(),
-                        want.size() * sizeof(float)),
-            0);
-}
 
 TEST(ServeServer, ExpiredDeadlineIsShedNotServed) {
   ServerConfig cfg;
@@ -936,7 +1001,7 @@ TEST(ServeServer, SlowPeerIsCutBySendTimeoutNotServedForever) {
   const int fd = connect_raw(port, /*rcvbuf=*/4096);
   Rng rng(51);
   InferRequest req = random_request(1, 2, elems, rng);
-  const std::vector<std::uint8_t> frame = frame_bytes(req, kProtocolVersion);
+  const std::vector<std::uint8_t> frame = infer_request_frame(req);
   bool full = false;
   for (int i = 0; i < 2000 && !full; ++i) {
     std::size_t off = 0;
@@ -1055,8 +1120,8 @@ TEST(ServeStream, LifecycleErrorsAreBadRequests) {
   ASSERT_FALSE(r.ok);
   EXPECT_EQ(r.error.code, ErrorCode::kBadRequest);
 
-  // Stream id 0 is the plain-request sentinel: the client-side builder
-  // refuses to even encode it...
+  // Stream id 0 is the plain-request sentinel: the client refuses to even
+  // encode it...
   EXPECT_THROW(client.stream_open(0), InvalidArgument);
   // ...and a peer that hand-crafts the frame anyway gets a bad-request.
   {
@@ -1064,7 +1129,6 @@ TEST(ServeStream, LifecycleErrorsAreBadRequests) {
     std::vector<std::uint8_t> zero_id(kHeaderBytes + 8, 0);
     FrameHeader h;
     h.kind = FrameKind::kStreamOpen;
-    h.version = kProtocolVersion;
     h.request_id = 3;
     h.payload_bytes = 8;
     encode_header(h, zero_id.data());
@@ -1234,7 +1298,7 @@ std::string scripted_fault_schedule(const std::string& spec_text) {
       const InferRequest req =
           random_request(static_cast<std::uint64_t>(i + 1), 2, 16, rng);
       const std::vector<std::uint8_t> frame =
-          frame_bytes(req, kProtocolVersion);
+          infer_request_frame(req);
       std::size_t off = 0;
       while (off < frame.size()) {
         const ssize_t w = ::send(sv[1], frame.data() + off,
@@ -1250,9 +1314,17 @@ std::string scripted_fault_schedule(const std::string& spec_text) {
       } catch (const Error&) {
         // Corrupted header: the daemon would drop the connection.
       }
-      if (alive)
-        alive = c.write_frame(FrameKind::kInferResponse, req.request_id,
-                              payload);
+      if (alive) {
+        // Echo the payload back under an infer-response header.
+        FrameHeader rh;
+        rh.kind = FrameKind::kInferResponse;
+        rh.request_id = req.request_id;
+        rh.payload_bytes = static_cast<std::uint32_t>(payload.size());
+        std::vector<std::uint8_t> reply(kHeaderBytes);
+        encode_header(rh, reply.data());
+        reply.insert(reply.end(), payload.begin(), payload.end());
+        alive = c.write_frame(reply);
+      }
       // Drain whatever reached the peer so later writes never block.
       std::uint8_t sink[4096];
       while (::recv(sv[1], sink, sizeof sink, MSG_DONTWAIT) > 0) {
@@ -1396,7 +1468,7 @@ TEST(ServeServer, SigtermDrainShedsExpiredAndExitsZero) {
   for (std::uint64_t id = 2; id <= 5; ++id) {
     InferRequest req = random_request(id, 4, elems, rng);
     req.deadline_us = 1000;
-    const std::vector<std::uint8_t> frame = frame_bytes(req, kProtocolVersion);
+    const std::vector<std::uint8_t> frame = infer_request_frame(req);
     send_raw(fd, frame.data(), frame.size());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));

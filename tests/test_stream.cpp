@@ -1,7 +1,7 @@
 // Streaming stateful inference tests: StreamState parity against the
 // whole-window path, StreamManager lifecycle / LRU eviction / bit-exact
-// restore, the v3 wire messages, RequestBuilder byte-compatibility with the
-// legacy payload encoders, and the batcher's same-stream exclusion rule.
+// restore, the streaming wire messages, and the batcher's same-stream
+// exclusion rule.
 //
 // The central contract (DESIGN.md §15): feeding a window through step()
 // one timestep at a time — in any chunking, through any batch of
@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "serve/batcher.h"
 #include "serve/protocol.h"
 #include "snn/model_zoo.h"
+#include "stk2_mutation.h"
 
 namespace spiketune::infer {
 namespace {
@@ -345,24 +347,54 @@ TEST(StreamManager, CorruptSpillFailsTheAcquireButNotTheManager) {
   ASSERT_EQ(manager.open(1), StreamManager::OpenResult::kOk);
   ASSERT_EQ(manager.open(2), StreamManager::OpenResult::kOk);  // evicts 1
 
-  // Truncate stream 1's spill to garbage.
   std::string spill;
   for (const auto& e : std::filesystem::directory_iterator(dir))
     spill = e.path().string();
   ASSERT_FALSE(spill.empty());
+  std::string valid;
   {
-    std::ofstream f(spill, std::ios::binary | std::ios::trunc);
-    f << "not an STK2 container";
+    std::ifstream f(spill, std::ios::binary);
+    valid.assign(std::istreambuf_iterator<char>(f), {});
   }
 
-  EXPECT_THROW(manager.acquire(1), Error);
-  EXPECT_THROW(manager.acquire(1), Error);  // retried, still clean
-  EXPECT_TRUE(manager.contains(1));
+  // Inputs: stream 1's spill truncated to garbage, then seeded mutations
+  // that set one length field to a hostile value under valid CRCs, so the
+  // restore gets past the integrity checks into the loader's bounds checks.
+  std::vector<std::string> inputs = {"not an STK2 container"};
+  const std::uint64_t seed = 0x5711a7e5ULL;
+  SCOPED_TRACE("mutation seed " + std::to_string(seed));
+  Rng rng(seed);
+  const auto fields = testing_stk2::length_fields(valid);
+  const auto& values = testing_stk2::hostile_values();
+  while (inputs.size() < 13) {
+    const auto& field = fields[rng.uniform_int(fields.size())];
+    std::string bad = testing_stk2::with_field(
+        valid, field, values[rng.uniform_int(values.size())]);
+    if (bad != valid) inputs.push_back(std::move(bad));
+  }
 
-  // The healthy stream is unaffected (acquiring it evicts nothing broken).
-  StreamState* ok = manager.acquire(2);
-  ASSERT_NE(ok, nullptr);
-  manager.release(2);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    {
+      std::ofstream f(spill, std::ios::binary | std::ios::trunc);
+      f << inputs[i];
+    }
+    // Retried: the failed restore left the entry clean, so it fails again.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        manager.acquire(1);
+        manager.release(1);  // unpin, or the next acquire would wait forever
+        ADD_FAILURE() << "restore accepted a corrupt spill file";
+      } catch (const InvalidArgument&) {
+      }
+    }
+    EXPECT_TRUE(manager.contains(1));
+
+    // The healthy stream is unaffected (acquiring it evicts nothing broken).
+    StreamState* ok = manager.acquire(2);
+    ASSERT_NE(ok, nullptr);
+    manager.release(2);
+  }
 
   // Totals require a restore, so they are lost — but a totals-free close
   // must still free the id, and the slot is reusable afterwards.
@@ -409,14 +441,19 @@ TEST(StreamManager, CheckpointAllWritesEachOpenStreamExactlyOnce) {
 namespace spiketune::serve {
 namespace {
 
-// --- v3 wire messages -------------------------------------------------------
+// --- streaming wire messages ------------------------------------------------
+
+/// The payload of a complete frame: everything after the header.
+std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& frame) {
+  return {frame.begin() + kHeaderBytes, frame.end()};
+}
 
 TEST(StreamProtocol, ControlStepAndCloseReplyRoundTrip) {
   StreamControl ctl;
   ctl.request_id = 5;
   ctl.stream_id = 0xdeadbeefcafe0001ULL;
   const StreamControl cback =
-      decode_stream_control(5, detail::encode_stream_control_payload(ctl));
+      decode_stream_control(5, payload_of(stream_open_frame(ctl)));
   EXPECT_EQ(cback.stream_id, ctl.stream_id);
 
   StreamStepRequest step;
@@ -427,7 +464,7 @@ TEST(StreamProtocol, ControlStepAndCloseReplyRoundTrip) {
   step.request.deadline_us = 1500;
   step.request.data = {1.0f, 0.0f, 1.0f, 0.0f, 1.0f, 1.0f};
   const StreamStepRequest sback =
-      decode_stream_step(6, detail::encode_stream_step_payload(step));
+      decode_stream_step(6, payload_of(stream_step_frame(step)));
   EXPECT_EQ(sback.stream_id, 42u);
   EXPECT_EQ(sback.request.num_steps, 2u);
   EXPECT_EQ(sback.request.elems_per_step, 3u);
@@ -442,8 +479,8 @@ TEST(StreamProtocol, ControlStepAndCloseReplyRoundTrip) {
   reply.stream_id = 42;
   reply.steps_done = 9001;
   reply.cumulative_counts = {3.0f, 0.0f, 12.0f};
-  const StreamCloseReply rback = decode_stream_close_reply(
-      7, detail::encode_stream_close_reply_payload(reply));
+  const StreamCloseReply rback =
+      decode_stream_close_reply(7, payload_of(stream_close_reply_frame(reply)));
   EXPECT_EQ(rback.stream_id, 42u);
   EXPECT_EQ(rback.steps_done, 9001u);
   ASSERT_EQ(rback.cumulative_counts.size(), 3u);
@@ -452,84 +489,10 @@ TEST(StreamProtocol, ControlStepAndCloseReplyRoundTrip) {
             0);
 
   // Truncated payloads are rejected, not misread.
-  auto cut = detail::encode_stream_step_payload(step);
+  auto cut = payload_of(stream_step_frame(step));
   cut.resize(cut.size() - 1);
   EXPECT_THROW(decode_stream_step(6, cut), InvalidArgument);
   EXPECT_THROW(decode_stream_control(5, {1, 2, 3}), InvalidArgument);
-}
-
-TEST(StreamProtocol, StreamingKindsRequireVersion3) {
-  // A v3 header with a streaming kind round-trips...
-  FrameHeader h;
-  h.kind = FrameKind::kStreamStep;
-  h.version = 3;
-  h.request_id = 1;
-  std::uint8_t raw[kHeaderBytes];
-  encode_header(h, raw);
-  EXPECT_EQ(decode_header(raw).kind, FrameKind::kStreamStep);
-  // ...but the same kind on a v2 frame is a malformed peer.
-  h.version = 2;
-  encode_header(h, raw);
-  EXPECT_THROW(decode_header(raw), InvalidArgument);
-
-  // RequestBuilder enforces the same rule at build time.
-  RequestBuilder v2(2);
-  StreamControl ctl;
-  ctl.stream_id = 1;
-  EXPECT_THROW(v2.stream_open(ctl), InvalidArgument);
-}
-
-TEST(StreamProtocol, BuilderFramesMatchLegacyEncodersByteForByte) {
-  // RequestBuilder replaced the four hand-paired encode_header +
-  // encode_<payload> call sites; the frames it emits must be the header
-  // bytes plus EXACTLY the legacy payload bytes, or old peers break.
-  const RequestBuilder b(kProtocolVersion);
-
-  InferRequest req;
-  req.request_id = 77;
-  req.num_steps = 2;
-  req.elems_per_step = 2;
-  req.deadline_us = 99;
-  req.data = {1.0f, 0.0f, 0.0f, 1.0f};
-  InferResponse resp;
-  resp.request_id = 77;
-  resp.out_features = 2;
-  resp.batch = 3;
-  resp.spike_counts = {4.0f, 0.0f};
-  ErrorResponse err;
-  err.request_id = 77;
-  err.code = ErrorCode::kOverloaded;
-  err.message = "busy";
-
-  struct Case {
-    const char* name;
-    std::vector<std::uint8_t> frame;
-    FrameKind kind;
-    std::vector<std::uint8_t> legacy_payload;
-  };
-  const Case cases[] = {
-      {"infer_request", b.infer_request(req), FrameKind::kInferRequest,
-       encode_request(req)},
-      {"infer_response", b.infer_response(resp), FrameKind::kInferResponse,
-       encode_response(resp)},
-      {"error", b.error(err), FrameKind::kError, encode_error(err)},
-      {"stat_response", b.stat_response(77, "{}"), FrameKind::kStatResponse,
-       encode_stat("{}")},
-      {"stat_request", b.stat_request(77), FrameKind::kStatRequest, {}},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    ASSERT_EQ(c.frame.size(), kHeaderBytes + c.legacy_payload.size());
-    const FrameHeader h = decode_header(c.frame.data());
-    EXPECT_EQ(h.kind, c.kind);
-    EXPECT_EQ(h.version, kProtocolVersion);
-    EXPECT_EQ(h.request_id, 77u);
-    EXPECT_EQ(h.payload_bytes, c.legacy_payload.size());
-    EXPECT_EQ(std::memcmp(c.frame.data() + kHeaderBytes,
-                          c.legacy_payload.data(), c.legacy_payload.size()),
-              0)
-        << "builder payload diverged from the legacy encoder";
-  }
 }
 
 // --- batcher: same-stream exclusion -----------------------------------------
