@@ -9,8 +9,9 @@
 // reporting FPS, latency percentiles, and the achieved input density the
 // dispatch heuristic saw.  Because both paths are bit-identical to
 // SpikingNetwork::forward, the bench first asserts spike-count parity
-// against the dense training path and aborts on any mismatch — a
-// performance number for a wrong result is worthless.
+// against the dense training path and membrane parity between the two
+// paths, and aborts on any mismatch, or when every compared value was zero
+// — a performance number for a wrong result is worthless.
 //
 // Writes BENCH_infer.json (machine-readable summary, consumed by CI) and,
 // with --ledger <dir>, a run-ledger stream with the measured numbers.
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -236,26 +238,58 @@ int main(int argc, char** argv) {
   };
 
   // Parity gate: both session paths must reproduce the training-stack
-  // forward bit for bit before any timing is believed.
+  // forward's spike counts bit for bit, and leave bit-identical membranes,
+  // before any timing is believed.  At the default beta/theta the untrained
+  // csnn emits no output spike, so spike counts alone would compare zeros;
+  // the gate counts the nonzeros it compared and fails when there were none.
   const auto model = infer::CompiledModel::compile(*net, per_sample);
   const auto reference = net->forward(window);
+  const std::int64_t count_elems = reference.spike_counts.numel();
+  std::int64_t nonzero_counts = 0;
+  std::int64_t nonzero_membranes = 0;
+  std::int64_t membrane_floats = 0;
   std::string parity_error;
   try {
-    for (double crossover : {2.0, -1.0}) {
-      infer::InferenceSession session(
-          model, {.max_batch = batch, .sparse_crossover = crossover});
-      const auto got = session.run(window);
-      const auto* want = reference.spike_counts.data();
-      const auto* have = got.spike_counts.data();
-      for (std::int64_t i = 0; i < reference.spike_counts.numel(); ++i) {
-        ST_REQUIRE(want[i] == have[i],
-                   "parity failure on the " +
-                       std::string(crossover >= 1.0 ? "sparse" : "dense") +
-                       " path at element " + std::to_string(i) +
-                       ": dense forward " + std::to_string(want[i]) +
-                       " vs session " + std::to_string(have[i]));
-      }
+    std::vector<float> membranes[2];
+    for (int path = 0; path < 2; ++path) {
+      const bool sparse_path = path == 0;
+      infer::InferOptions options;
+      options.max_batch = batch;
+      options.sparse_crossover = sparse_path ? 2.0 : -1.0;
+      infer::InferenceSession session(model, options);
+      std::vector<infer::StreamState> streams(static_cast<std::size_t>(batch),
+                                              session.make_stream());
+      std::vector<infer::StreamState*> ptrs;
+      for (auto& stream : streams) ptrs.push_back(&stream);
+      const auto got = session.run(ptrs.data(), batch, window);
+      ST_REQUIRE(std::memcmp(got.spike_counts.data(),
+                             reference.spike_counts.data(),
+                             static_cast<std::size_t>(count_elems) *
+                                 sizeof(float)) == 0,
+                 std::string("parity failure on the ") +
+                     (sparse_path ? "sparse" : "dense") +
+                     " path: spike counts differ bitwise from "
+                     "SpikingNetwork::forward");
+      for (const auto& stream : streams)
+        membranes[path].insert(membranes[path].end(),
+                               stream.membrane_arena().begin(),
+                               stream.membrane_arena().end());
     }
+    ST_REQUIRE(membranes[0].size() == membranes[1].size() &&
+                   std::memcmp(membranes[0].data(), membranes[1].data(),
+                               membranes[0].size() * sizeof(float)) == 0,
+               "parity failure: the sparse and dense paths leave different "
+               "membranes");
+    const float* counts = reference.spike_counts.data();
+    nonzero_counts = std::count_if(counts, counts + count_elems,
+                                   [](float v) { return v != 0.0f; });
+    membrane_floats = static_cast<std::int64_t>(membranes[0].size());
+    nonzero_membranes =
+        std::count_if(membranes[0].begin(), membranes[0].end(),
+                      [](float v) { return v != 0.0f; });
+    ST_REQUIRE(nonzero_counts + nonzero_membranes > 0,
+               "the parity gate checked nothing: every spike count and "
+               "membrane float is zero");
   } catch (const Error& e) {
     parity_error = e.what();
   }
@@ -281,7 +315,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "parity: sparse and dense session paths match "
-               "SpikingNetwork::forward bitwise\n\n";
+               "SpikingNetwork::forward bitwise ("
+            << nonzero_counts << " of " << count_elems
+            << " spike counts nonzero) and leave identical membranes ("
+            << nonzero_membranes << " of " << membrane_floats
+            << " floats nonzero)\n\n";
 
   const auto sparse = time_path(model, window, 2.0, warmup, reps);
   const auto dense = time_path(model, window, -1.0, warmup, reps);
@@ -327,6 +365,8 @@ int main(int argc, char** argv) {
         << "  \"threads\": " << num_threads() << ",\n"
         << "  \"reps\": " << reps << ",\n"
         << "  \"parity\": true,\n"
+        << "  \"parity_nonzero_counts\": " << nonzero_counts << ",\n"
+        << "  \"parity_nonzero_membranes\": " << nonzero_membranes << ",\n"
         << "  \"sparse\": " << json_path(sparse) << ",\n"
         << "  \"dense\": " << json_path(dense) << ",\n"
         << "  \"speedup\": " << speedup << "\n"

@@ -1,8 +1,8 @@
-// MICRO — google-benchmark suite for the hot kernels underpinning training
-// and simulation: GEMM variants (square, and at the csnn training shapes),
-// im2col, conv forward/backward, the LIF step, spike encoders, the
-// end-to-end CSNN timestep, and the hardware models (allocator, analytic
-// analysis, event-sim tick).
+// MICRO — google-benchmark suite for the hot kernels underpinning training,
+// inference and simulation: GEMM variants (square, and at the csnn training
+// shapes), im2col, conv forward/backward, the LIF step, spike encoders, the
+// end-to-end CSNN timestep, one streaming inference step, and the hardware
+// models (allocator, analytic analysis, event-sim tick).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -12,6 +12,7 @@
 #include "data/encoders.h"
 #include "hw/event_sim.h"
 #include "hw/perf_model.h"
+#include "infer/session.h"
 #include "snn/conv2d.h"
 #include "snn/lif.h"
 #include "snn/model_zoo.h"
@@ -233,6 +234,39 @@ void BM_CsnnTimestep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsnnTimestep);
+
+void BM_SessionStepCsnn(benchmark::State& state) {
+  // InferenceSession::step on ONE stream of the served csnn (3x32x32, beta
+  // 0.5, theta 1.5) fed rate-coded frames at density 0.15: the per-sample
+  // block cost (kernels and epilogues) with the stream's membranes in
+  // cache, free of the batch-wide membrane traffic of a 32-stream window.
+  snn::CsnnConfig cfg;
+  cfg.lif.beta = 0.5f;
+  cfg.lif.threshold = 1.5f;
+  auto net = snn::make_svhn_csnn(cfg);
+  const Shape per_sample{cfg.in_channels, cfg.image_size, cfg.image_size};
+  const auto model = infer::CompiledModel::compile(*net, per_sample);
+  infer::InferOptions options;
+  options.max_batch = 1;
+  infer::InferenceSession session(model, options);
+  auto stream = session.make_stream();
+  Rng rng(10);
+  std::vector<Tensor> frames;
+  for (int f = 0; f < 8; ++f) {
+    Tensor x = Tensor::full(per_sample, 0.0f);
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+      if (rng.uniform() < 0.15) x.data()[i] = 1.0f;
+    frames.push_back(std::move(x));
+  }
+  std::size_t f = 0;
+  for (auto _ : state) {
+    Tensor out = session.step(stream, frames[f]);
+    benchmark::DoNotOptimize(out.data());
+    f = (f + 1) % frames.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SessionStepCsnn)->UseRealTime();
 
 std::vector<hw::LayerWorkload> bench_workloads() {
   std::vector<hw::LayerWorkload> ws(4);

@@ -103,12 +103,43 @@ CompiledModel CompiledModel::compile(const snn::SpikingNetwork& net,
                  shape.str());
   model.output_shape_ = shape;
 
-  for (std::size_t li = 0; li < model.layers_.size(); ++li) {
-    const OpKind kind = model.layers_[li].kind;
-    const bool synaptic = kind == OpKind::kConv2d || kind == OpKind::kLinear;
-    if (synaptic || model.blocks_.empty())
-      model.blocks_.push_back(LayerBlock{li, li, synaptic});
-    model.blocks_.back().end = li + 1;
+  // Cut the layers into blocks: conv/linear, LIF, optional pool, flattens.
+  // Flattens are reshapes, so leading ones belong to no block.
+  const auto& layers = model.layers_;
+  const auto kind_at = [&](std::size_t i) { return layers[i].kind; };
+  std::size_t li = 0;
+  while (li < layers.size() && kind_at(li) == OpKind::kFlatten) ++li;
+  ST_REQUIRE(li < layers.size(),
+             "cannot compile a network without a conv or linear layer");
+  while (li < layers.size()) {
+    const CompiledLayer& head = layers[li];
+    const auto where = "layer " + std::to_string(li) + " ('" + head.name +
+                       "', " + op_kind_name(head.kind) + ")";
+    ST_REQUIRE(head.kind == OpKind::kConv2d || head.kind == OpKind::kLinear,
+               "cannot compile " + where +
+                   " for inference: a block is conv/linear, LIF, an optional "
+                   "pool directly after the LIF, then flattens");
+    ST_REQUIRE(li + 1 < layers.size() && kind_at(li + 1) == OpKind::kLif,
+               "cannot compile " + where +
+                   " for inference: it is not followed by a LIF layer");
+    LayerBlock blk;
+    blk.begin = li;
+    blk.channels = head.out_shape[0];
+    if (head.kind == OpKind::kConv2d) {
+      blk.rows = head.out_shape[1];
+      blk.cols = head.out_shape[2];
+    }
+    std::size_t e = li + 2;
+    if (e < layers.size() && (kind_at(e) == OpKind::kMaxPool2d ||
+                              kind_at(e) == OpKind::kAvgPool2d)) {
+      blk.pool = layers[e].pool_kernel;
+      blk.avg_pool = kind_at(e) == OpKind::kAvgPool2d;
+      ++e;
+    }
+    while (e < layers.size() && kind_at(e) == OpKind::kFlatten) ++e;
+    blk.end = e;
+    model.blocks_.push_back(blk);
+    li = e;
   }
   return model;
 }

@@ -43,9 +43,10 @@ struct CompiledLayer {
   std::int64_t out_elems = 0;  // per-sample output numel
 
   // kConv2d / kLinear.  `weight` keeps the training layout ([OC, IC*KH*KW]
-  // for conv, [out, in] for linear) for the dense kernels; `weight_t` is its
-  // [K, out] transpose so the sparse kernels touch contiguous rows per input
-  // event.  `bias` is empty when the layer has none.
+  // for conv, [out, in] for linear; the dense linear kernel reads it);
+  // `weight_t` is its [K, out] transpose, so the sparse kernels touch
+  // contiguous rows per input event and the dense conv kernel writes
+  // channel-last output.  `bias` is empty when the layer has none.
   Tensor weight;
   Tensor weight_t;
   Tensor bias;
@@ -58,20 +59,30 @@ struct CompiledLayer {
   float beta = 0.0f;
   float threshold = 0.0f;
   /// Offset of this layer's membrane plane inside a StreamState arena
-  /// (see infer/stream.h); -1 for non-LIF layers.  Assigned at compile so
-  /// every stream shares one layout and eviction checkpoints are one flat
-  /// tensor.
+  /// (see infer/stream.h); -1 for non-LIF layers.  The plane is held in its
+  /// block's channel-last order ([OH, OW, OC] after a conv).  Assigned at
+  /// compile so every stream shares one layout and eviction checkpoints are
+  /// one flat tensor.
   std::int64_t membrane_offset = -1;
 };
 
-/// One unit of the session's per-sample pass: an optional synaptic layer
-/// (conv/linear) at `begin` followed by the elementwise tail (LIF, pooling,
-/// flatten) up to the next synaptic layer.  Every block but a leading tail
-/// before the network's first synaptic layer starts with a synaptic layer.
+/// One unit of the session's per-sample pass: a synaptic layer (conv or
+/// linear) at `begin`, the LIF right after it, an optional pool right after
+/// that, then any flattens, up to `end`.  compile() rejects a network that
+/// does not cut into such blocks (only flattens may precede the first one).
+///
+/// The block's LIF plane is `rows` x `cols` positions of `channels` values,
+/// held channel-last: [OH, OW, OC] for a conv, 1 x 1 x out_features for a
+/// linear layer.  `pool` is the pool window (1 when the block has no pool)
+/// and `avg_pool` selects average over max pooling.
 struct LayerBlock {
-  std::size_t begin = 0;  // first layer index
+  std::size_t begin = 0;  // the conv/linear layer; its LIF is begin + 1
   std::size_t end = 0;    // one past the last layer index
-  bool synaptic = false;  // layers[begin] is kConv2d or kLinear
+  std::int64_t rows = 1;
+  std::int64_t cols = 1;
+  std::int64_t channels = 0;
+  std::int64_t pool = 1;
+  bool avg_pool = false;
 };
 
 class CompiledModel {
@@ -81,7 +92,9 @@ class CompiledModel {
   /// Freezes `net` for per-sample inputs of shape `per_sample_input` (no
   /// batch dimension; e.g. {3, 32, 32}).  Copies all weights; the network
   /// may be mutated or destroyed afterwards.  Throws InvalidArgument on
-  /// unsupported layer types or incompatible shapes.
+  /// unsupported layer types, incompatible shapes, or a layer order that
+  /// does not cut into LayerBlocks (a conv/linear layer not followed by a
+  /// LIF, a pool not directly after a LIF).
   static CompiledModel compile(const snn::SpikingNetwork& net,
                                const Shape& per_sample_input);
 

@@ -1,7 +1,7 @@
 #include "infer/session.h"
 
 #include <algorithm>
-#include <type_traits>
+#include <cstddef>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -37,31 +37,29 @@ std::int64_t nonzeros(const float* x, std::int64_t n) {
 //
 // Every kernel below works on ONE sample's planes.  The session runs them
 // back to back for a sample inside one participant's slice, so a block's
-// intermediate planes live in that participant's scratch and stay in cache.
-// The per-element arithmetic is the training layers'; DESIGN.md §10 has the
-// bit-identity argument.
+// pre-activation lives in that participant's scratch and stays in cache.
+// The synaptic kernels leave it bias-free and channel-last ([spatial, OC]
+// for a conv); the block epilogue adds the bias.  The per-element
+// arithmetic is the training layers'; DESIGN.md §10 has the bit-identity
+// argument.
 
 // Conv2d, sparse: scatter each nonzero input pixel through the [K, OC]
-// transposed weights into a zeroed [spatial, OC] scratch, then transpose
-// into the [OC, OH, OW] output fusing the bias add.  For any fixed output
-// element, contributions land in ascending p = (ic, kh, kw) order — the
-// dense im2col+GEMM reduction order — and the terms that differ between the
-// two paths are exact ±0.0 products, so the result is bit-identical to the
-// dense kernel.
+// transposed weights into the zeroed [spatial, OC] pre-activation.  For any
+// fixed output element, contributions land in ascending p = (ic, kh, kw)
+// order — the dense im2col+GEMM reduction order — and the terms that differ
+// between the two paths are exact ±0.0 products, so the result is
+// bit-identical to the dense kernel.
 void conv_sparse(const CompiledLayer& l, const float* x,
-                 const std::int32_t* idx, std::int64_t cnt, float* scr,
-                 float* out) {
+                 const std::int32_t* idx, std::int64_t cnt, float* pre) {
   ST_PROF_SCOPE("infer.conv_sparse");
   const ConvGeom& g = l.geom;
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
-  const std::int64_t spatial = oh * ow;
   const std::int64_t ocn = l.out_shape[0];
   const std::int64_t hw = g.height * g.width;
   const float* wt = l.weight_t.data();
-  const float* b = l.bias.numel() > 0 ? l.bias.data() : nullptr;
 
-  std::fill(scr, scr + spatial * ocn, 0.0f);
+  std::fill(pre, pre + oh * ow * ocn, 0.0f);
   for (std::int64_t e = 0; e < cnt; ++e) {
     const std::int64_t f = idx[e];
     const float v = x[f];
@@ -77,169 +75,205 @@ void conv_sparse(const CompiledLayer& l, const float* x,
         const std::int64_t ox = ix + g.pad_w - kw;
         if (ox < 0 || ox >= ow) continue;
         const float* wrow = wt + (base_p + kh * g.kernel_w + kw) * ocn;
-        float* srow = scr + (oy * ow + ox) * ocn;
-        for (std::int64_t oc = 0; oc < ocn; ++oc) srow[oc] += v * wrow[oc];
-      }
-    }
-  }
-  // [spatial, OC] -> [OC, spatial] in tiles of kTile positions, so the
-  // tile's scratch rows stay in L1 while every channel reads them.
-  constexpr std::int64_t kTile = 16;
-  for (std::int64_t sp0 = 0; sp0 < spatial; sp0 += kTile) {
-    const std::int64_t sp1 = std::min(sp0 + kTile, spatial);
-    for (std::int64_t oc = 0; oc < ocn; ++oc) {
-      float* oplane = out + oc * spatial;
-      if (b != nullptr) {
-        const float bv = b[oc];
-        for (std::int64_t sp = sp0; sp < sp1; ++sp)
-          oplane[sp] = scr[sp * ocn + oc] + bv;
-      } else {
-        for (std::int64_t sp = sp0; sp < sp1; ++sp)
-          oplane[sp] = scr[sp * ocn + oc];
+        float* prow = pre + (oy * ow + ox) * ocn;
+        for (std::int64_t oc = 0; oc < ocn; ++oc) prow[oc] += v * wrow[oc];
       }
     }
   }
 }
 
-// Conv2d, dense: exactly snn::Conv2d::forward_step for one sample, with the
-// im2col buffer drawn from participant scratch.
+// Conv2d, dense: im2col, then gemm_tn of the [K, spatial] columns against
+// the [K, OC] transposed weights, which writes [spatial, OC] directly.  Each
+// element gets the same ascending-k multiply-adds as the gemm(W, cols) of
+// snn::Conv2d::forward_step (tensor/gemm.h).
 void conv_dense(const CompiledLayer& l, const float* x, float* cols,
-                float* out) {
+                float* pre) {
   ST_PROF_SCOPE("infer.conv_dense");
   const ConvGeom& g = l.geom;
-  const std::int64_t spatial = g.col_cols();
-  const std::int64_t ocn = l.out_shape[0];
   im2col(g, x, cols);
-  gemm(ocn, spatial, g.col_rows(), 1.0f, l.weight.data(), cols, 0.0f, out);
-  if (l.bias.numel() > 0) {
-    const float* b = l.bias.data();
-    for (std::int64_t oc = 0; oc < ocn; ++oc) {
-      const float bv = b[oc];
-      float* plane = out + oc * spatial;
-      for (std::int64_t sp = 0; sp < spatial; ++sp) plane[sp] += bv;
-    }
-  }
+  gemm_tn(g.col_cols(), l.out_shape[0], g.col_rows(), 1.0f, cols,
+          l.weight_t.data(), 0.0f, pre);
 }
 
 // Linear, sparse: fold each nonzero input through its [in, out] weight row
 // in ascending input order — the dense GEMM's k order.
 void linear_sparse(const CompiledLayer& l, const float* x,
-                   const std::int32_t* idx, std::int64_t cnt, float* out) {
+                   const std::int32_t* idx, std::int64_t cnt, float* pre) {
   ST_PROF_SCOPE("infer.linear_sparse");
   const std::int64_t out_f = l.out_shape[0];
   const float* wt = l.weight_t.data();
-  std::fill(out, out + out_f, 0.0f);
+  std::fill(pre, pre + out_f, 0.0f);
   for (std::int64_t e = 0; e < cnt; ++e) {
     const std::int64_t f = idx[e];
     const float v = x[f];
     const float* wrow = wt + f * out_f;
-    for (std::int64_t j = 0; j < out_f; ++j) out[j] += v * wrow[j];
-  }
-  if (l.bias.numel() > 0) {
-    const float* b = l.bias.data();
-    for (std::int64_t j = 0; j < out_f; ++j) out[j] += b[j];
+    for (std::int64_t j = 0; j < out_f; ++j) pre[j] += v * wrow[j];
   }
 }
 
-// Linear, dense: exactly snn::Linear::forward_step.  The one batch-wide
-// kernel — a GEMM earns its speed from reusing weights across rows — so it
-// runs before the per-sample pass, which then reads row s of `out`.
+// Linear, dense: the gemm_nt of snn::Linear::forward_step.  The one
+// batch-wide kernel — a GEMM earns its speed from reusing weights across
+// rows — so it runs before the per-sample pass, which then reads row s of
+// `pre`.
 void linear_dense(const CompiledLayer& l, const float* in, std::int64_t n,
-                  float* out) {
+                  float* pre) {
   ST_PROF_SCOPE("infer.linear_dense");
-  const std::int64_t out_f = l.out_shape[0];
-  gemm_nt(n, out_f, l.in_elems, 1.0f, in, l.weight.data(), 0.0f, out);
-  if (l.bias.numel() > 0) {
-    const float* b = l.bias.data();
-    for (std::int64_t i = 0; i < n; ++i)
-      for (std::int64_t j = 0; j < out_f; ++j) out[i * out_f + j] += b[j];
-  }
+  gemm_nt(n, l.out_shape[0], l.in_elems, 1.0f, in, l.weight.data(), 0.0f,
+          pre);
 }
 
-// LIF: the elementwise recurrence of snn::Lif::forward_step on one stream's
-// membrane plane `m`.  A fresh stream's step reads no membrane term at all,
-// matching the dense layer's has_membrane_ gate on timestep 0.  Returns the
-// spike count.
-std::int64_t lif(const CompiledLayer& l, const float* in, bool first_step,
-                 float* m, float* out) {
-  ST_PROF_SCOPE("infer.lif");
-  const float beta = l.beta;
-  const float theta = l.threshold;
-  std::int64_t fired = 0;
-  for (std::int64_t i = 0; i < l.out_elems; ++i) {
-    float u = in[i];
-    if (!first_step) u += beta * m[i];
-    const bool fire = u > theta;
-    out[i] = fire ? 1.0f : 0.0f;
-    if (fire) {
-      u -= theta;
-      ++fired;
-    }
-    m[i] = u;
+// Nonzeros of the biased pre-activation — the synaptic layer's output on
+// the dense path — for the SpikeRecord.  Same sums as the epilogue's.
+std::int64_t biased_nonzeros(const float* pre, const Tensor& bias,
+                             std::int64_t positions, std::int64_t ch) {
+  if (bias.numel() == 0) return nonzeros(pre, positions * ch);
+  const float* b = bias.data();
+  std::int64_t c = 0;
+  for (std::int64_t p = 0; p < positions; ++p, pre += ch)
+    for (std::int64_t k = 0; k < ch; ++k) c += (pre[k] + b[k] != 0.0f);
+  return c;
+}
+
+// --- The block epilogue ------------------------------------------------------
+//
+// One pass over a sample's channel-last pre-activation does, per element,
+// the synaptic layer's bias add and the LIF recurrence of
+// snn::Lif::forward_step on the stream's membrane plane (held in the same
+// [rows, cols, channels] order), and folds each spike into its pool window.
+// Each finished pooled row is stored straight into the block's [channels,
+// rows / k, cols / k] output — the next block's input plane.  Positions the
+// pool floors away still get LIF.  A block without a pool is the same pass
+// with k = 1.
+//
+// Per element the float operations are the training layers', in their
+// order: pre + bias, then + beta * m (skipped on a fresh stream's first
+// step, the dense layer's has_membrane_ gate), then the subtract-theta
+// reset.  The pool sees 0/1 spikes, so its window arithmetic is exact and
+// follows snn::MaxPool2d / snn::AvgPool2d: taps in ascending (dy, dx) order,
+// the max seeded by the first tap and replaced only on strict >, the average
+// the first tap (0 + s == s for s in {0, 1}) plus the rest, times 1/k².
+
+struct LifParams {
+  float beta;
+  float theta;
+  bool first_step;
+};
+
+template <bool kBias>
+inline bool lif_element(const float* __restrict pre,
+                        const float* __restrict bias, float* __restrict m,
+                        std::int64_t i, std::int64_t c, LifParams lp) {
+  float u = pre[i];
+  if constexpr (kBias) u += bias[c];
+  if (!lp.first_step) u += lp.beta * m[i];
+  const bool fire = u > lp.theta;
+  if (fire) u -= lp.theta;
+  m[i] = u;
+  return fire;
+}
+
+// LIF over `n` positions whose spikes no pool window takes.
+template <bool kBias>
+std::int32_t lif_dropped(const float* __restrict pre,
+                         const float* __restrict bias, float* __restrict m,
+                         std::int64_t n, std::int64_t ch, LifParams lp) {
+  std::int32_t fired = 0;
+  for (std::int64_t q = 0; q < n; ++q)
+    for (std::int64_t c = 0; c < ch; ++c)
+      fired += lif_element<kBias>(pre, bias, m, q * ch + c, c, lp);
+  return fired;
+}
+
+// The k input rows of one pooled row (`pre` and `m` point at the first
+// row's first position; rows are `w` positions apart): LIF on every tap of
+// each of the `pw` windows, pooled into acc ([pw, ch], unscaled).  One
+// channel loop per tap keeps each loop a plain vectorizable stream.
+template <bool kAvg, bool kBias>
+std::int32_t lif_pool_windows(const float* __restrict pre,
+                              const float* __restrict bias,
+                              float* __restrict m, float* __restrict acc,
+                              std::int64_t w, std::int64_t pw, std::int64_t ch,
+                              std::int64_t k, LifParams lp) {
+  std::int32_t fired = 0;
+  for (std::int64_t px = 0; px < pw; ++px) {
+    float* __restrict a = acc + px * ch;
+    for (std::int64_t dy = 0; dy < k; ++dy)
+      for (std::int64_t dx = 0; dx < k; ++dx) {
+        const std::int64_t o = (px * k + dy * w + dx) * ch;
+        const float* __restrict p = pre + o;
+        float* __restrict mp = m + o;
+        std::int32_t f = 0;
+        if (dy == 0 && dx == 0) {
+          for (std::int64_t c = 0; c < ch; ++c) {
+            const bool fire = lif_element<kBias>(p, bias, mp, c, c, lp);
+            f += fire;
+            a[c] = fire ? 1.0f : 0.0f;
+          }
+        } else {
+          for (std::int64_t c = 0; c < ch; ++c) {
+            const bool fire = lif_element<kBias>(p, bias, mp, c, c, lp);
+            f += fire;
+            const float s = fire ? 1.0f : 0.0f;
+            if constexpr (kAvg)
+              a[c] += s;
+            else
+              a[c] = s > a[c] ? s : a[c];
+          }
+        }
+        fired += f;
+      }
   }
   return fired;
 }
 
-// Pooling: same per-window arithmetic as snn::MaxPool2d / snn::AvgPool2d
-// (first-element init + strict > for max; ascending (dy, dx) accumulation
-// for avg), one output row at a time.  The rows are compiled once for the
-// common 2x2 window, whose constant stride lets the compiler vectorize
-// across the row.
-
-// Calls row(r, k) for every output row r = plane * oh + y, with k the
-// window size (a compile-time constant when it is 2).
-template <typename RowFn>
-void for_pool_rows(const CompiledLayer& l, RowFn&& row) {
-  const std::int64_t rows = l.in_shape[0] * l.out_shape[1];
-  if (l.pool_kernel == 2) {
-    for (std::int64_t r = 0; r < rows; ++r)
-      row(r, std::integral_constant<std::int64_t, 2>{});
-  } else {
-    for (std::int64_t r = 0; r < rows; ++r) row(r, l.pool_kernel);
+template <bool kAvg, bool kBias>
+std::int64_t lif_pool_rows(const LayerBlock& blk, const float* pre,
+                           const float* bias, LifParams lp, float* m,
+                           float* acc, float* dst) {
+  const std::int64_t ch = blk.channels;
+  const std::int64_t k = blk.pool;
+  const std::int64_t w = blk.cols;
+  const std::int64_t ph = blk.rows / k;
+  const std::int64_t pw = w / k;
+  const std::int64_t plane = ph * pw;
+  const std::int64_t row = w * ch;  // floats per input row
+  const float inv = 1.0f / static_cast<float>(k * k);
+  std::int64_t fired = 0;
+  for (std::int64_t py = 0; py < ph; ++py) {
+    const std::int64_t top = py * k * row;
+    fired += lif_pool_windows<kAvg, kBias>(pre + top, bias, m + top, acc, w,
+                                           pw, ch, k, lp);
+    for (std::int64_t dy = 0; dy < k; ++dy) {  // columns floored away
+      const std::int64_t tail = top + dy * row + pw * k * ch;
+      fired += lif_dropped<kBias>(pre + tail, bias, m + tail, w - pw * k, ch,
+                                  lp);
+    }
+    for (std::int64_t c = 0; c < ch; ++c) {
+      float* o = dst + c * plane + py * pw;
+      for (std::int64_t px = 0; px < pw; ++px)
+        o[px] = kAvg ? acc[px * ch + c] * inv : acc[px * ch + c];
+    }
   }
+  const std::int64_t below = ph * k * row;  // rows floored away
+  fired += lif_dropped<kBias>(pre + below, bias, m + below,
+                              (blk.rows - ph * k) * w, ch, lp);
+  return fired;
 }
 
-void maxpool(const CompiledLayer& l, const float* in, float* out) {
-  ST_PROF_SCOPE("infer.maxpool");
-  const std::int64_t h = l.in_shape[1];
-  const std::int64_t w = l.in_shape[2];
-  const std::int64_t oh = l.out_shape[1];
-  const std::int64_t ow = l.out_shape[2];
-  for_pool_rows(l, [&](std::int64_t r, auto k) {
-    const std::int64_t p = r / oh;
-    const float* top = in + (p * h + (r - p * oh) * k) * w;
-    float* orow = out + r * ow;
-    for (std::int64_t x = 0; x < ow; ++x) {
-      float best = top[x * k];
-      for (std::int64_t dy = 0; dy < k; ++dy)
-        for (std::int64_t dx = 0; dx < k; ++dx) {
-          const float v = top[dy * w + x * k + dx];
-          if (v > best) best = v;
-        }
-      orow[x] = best;
-    }
-  });
-}
-
-void avgpool(const CompiledLayer& l, const float* in, float* out) {
-  ST_PROF_SCOPE("infer.avgpool");
-  const std::int64_t h = l.in_shape[1];
-  const std::int64_t w = l.in_shape[2];
-  const std::int64_t oh = l.out_shape[1];
-  const std::int64_t ow = l.out_shape[2];
-  const float inv = 1.0f / static_cast<float>(l.pool_kernel * l.pool_kernel);
-  for_pool_rows(l, [&](std::int64_t r, auto k) {
-    const std::int64_t p = r / oh;
-    const float* top = in + (p * h + (r - p * oh) * k) * w;
-    float* orow = out + r * ow;
-    for (std::int64_t x = 0; x < ow; ++x) {
-      float acc = 0.0f;
-      for (std::int64_t dy = 0; dy < k; ++dy)
-        for (std::int64_t dx = 0; dx < k; ++dx)
-          acc += top[dy * w + x * k + dx];
-      orow[x] = acc * inv;
-    }
-  });
+// Runs the epilogue of `blk` for one sample and returns its spike count.
+std::int64_t lif_pool(const LayerBlock& blk, const CompiledLayer& head,
+                      const CompiledLayer& lif, const float* pre,
+                      bool first_step, float* m, float* acc, float* dst) {
+  ST_PROF_SCOPE("infer.lif_pool");
+  const float* bias = head.bias.numel() > 0 ? head.bias.data() : nullptr;
+  const LifParams lp{lif.beta, lif.threshold, first_step};
+  if (blk.avg_pool)
+    return bias != nullptr
+               ? lif_pool_rows<true, true>(blk, pre, bias, lp, m, acc, dst)
+               : lif_pool_rows<true, false>(blk, pre, bias, lp, m, acc, dst);
+  return bias != nullptr
+             ? lif_pool_rows<false, true>(blk, pre, bias, lp, m, acc, dst)
+             : lif_pool_rows<false, false>(blk, pre, bias, lp, m, acc, dst);
 }
 
 }  // namespace
@@ -249,15 +283,15 @@ InferenceSession::InferenceSession(const CompiledModel& model,
     : model_(&model), config_(config) {
   ST_REQUIRE(model.num_layers() > 0, "cannot build a session on empty model");
   ST_REQUIRE(config_.max_batch > 0, "max_batch must be positive");
-  for (const auto& l : model.layers()) {
-    plane_stride_ = std::max(plane_stride_, l.out_elems);
-    if (l.kind == OpKind::kConv2d) {
-      const std::int64_t spatial = l.geom.col_cols();
-      scatter_stride_ = std::max(scatter_stride_, spatial * l.out_shape[0]);
-      cols_stride_ = std::max(cols_stride_, l.geom.col_rows() * spatial);
-    } else if (l.kind == OpKind::kLinear) {
-      linear_stride_ = std::max(linear_stride_, l.out_elems);
-    }
+  for (const LayerBlock& blk : model.blocks()) {
+    const CompiledLayer& head = model.layers()[blk.begin];
+    pre_stride_ = std::max(pre_stride_, head.out_elems);
+    acc_stride_ = std::max(acc_stride_, blk.cols / blk.pool * blk.channels);
+    if (head.kind == OpKind::kConv2d)
+      cols_stride_ =
+          std::max(cols_stride_, head.geom.col_rows() * head.geom.col_cols());
+    else
+      linear_stride_ = std::max(linear_stride_, head.out_elems);
   }
   inputs_.resize(model.blocks().size());
   boundary_nz_.resize(model.num_layers() + 1);
@@ -275,10 +309,8 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
     BlockInput& in = inputs_[b];
     // Block 0 reads the caller's batch in place; it only needs index lists.
     if (b > 0) in.plane.resize(rows * elems);
-    if (blocks[b].synaptic) {
-      in.idx.resize(rows * elems);
-      in.count.resize(rows);
-    }
+    in.idx.resize(rows * elems);
+    in.count.resize(rows);
   }
   linear_out_.resize(rows * static_cast<std::size_t>(linear_stride_));
   // Scratch streams backing the whole-window run(); pool_ never shrinks, so
@@ -292,10 +324,10 @@ void InferenceSession::ensure_capacity(std::int64_t batch) {
 void InferenceSession::ensure_participants(std::int64_t count) {
   while (parts_.size() < static_cast<std::size_t>(count)) {
     Participant p;
-    p.scatter.resize(static_cast<std::size_t>(scatter_stride_));
+    p.pre.resize(static_cast<std::size_t>(pre_stride_));
     p.cols.resize(static_cast<std::size_t>(cols_stride_));
-    p.ping.resize(static_cast<std::size_t>(plane_stride_));
-    p.pong.resize(static_cast<std::size_t>(plane_stride_));
+    p.acc.resize(static_cast<std::size_t>(acc_stride_));
+    p.out.resize(static_cast<std::size_t>(model_->output_shape()[0]));
     p.nz.resize(model_->num_layers() + 1);
     parts_.push_back(std::move(p));
   }
@@ -322,108 +354,68 @@ void InferenceSession::block_sample(std::size_t b, bool sparse,
                                     std::int64_t s, float* window_counts,
                                     Participant& part) {
   const auto& layers = model_->layers();
-  const LayerBlock& blk = model_->blocks()[b];
+  const auto& blocks = model_->blocks();
+  const LayerBlock& blk = blocks[b];
   const CompiledLayer& head = layers[blk.begin];
-  const bool stats = config_.record_stats;
-  const float* cur = in_plane + s * head.in_elems;
-  std::int64_t cur_nz = -1;  // nonzeros of `cur`, when counted
+  const CompiledLayer& lif = layers[blk.begin + 1];
 
-  // Ops never write the plane they read: each writes the scratch plane the
-  // previous op did not.
-  float* planes[2] = {part.ping.data(), part.pong.data()};
-  int next_plane = 0;
-  const auto fresh_plane = [&] {
-    float* p = planes[next_plane];
-    next_plane ^= 1;
-    return p;
-  };
-
-  std::size_t li = blk.begin;
-  if (blk.synaptic) {
-    const bool timed = config_.record_stage_times;
-    const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
-    const BlockInput& in = inputs_[b];
-    const std::int32_t* idx = in.idx.data() + s * head.in_elems;
-    const std::int64_t cnt = in.count[static_cast<std::size_t>(s)];
-    if (head.kind == OpKind::kConv2d) {
-      float* out = fresh_plane();
-      if (sparse)
-        conv_sparse(head, cur, idx, cnt, part.scatter.data(), out);
-      else
-        conv_dense(head, cur, part.cols.data(), out);
-      cur = out;
-    } else if (sparse) {
-      float* out = fresh_plane();
-      linear_sparse(head, cur, idx, cnt, out);
-      cur = out;
-    } else {
-      cur = linear_out_.data() + s * head.out_elems;  // see linear_dense
-    }
-    if (timed)
-      (sparse ? part.sparse_ns : part.dense_ns) += obs::telemetry_now_ns() - t0;
-    if (stats) {
-      cur_nz = nonzeros(cur, head.out_elems);
-      part.nz[li + 1] += cur_nz;
-    }
-    ++li;
-  } else if (stats) {
-    // A leading tail reads the network input, which nothing scanned.
-    part.nz[li] += nonzeros(cur, head.in_elems);
+  // Synaptic kernel: the bias-free, channel-last pre-activation.
+  const bool timed = config_.record_stage_times;
+  const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
+  const BlockInput& in = inputs_[b];
+  const float* x = in_plane + s * head.in_elems;
+  const std::int32_t* idx = in.idx.data() + s * head.in_elems;
+  const std::int64_t cnt = in.count[static_cast<std::size_t>(s)];
+  const float* pre = part.pre.data();
+  if (head.kind == OpKind::kConv2d) {
+    if (sparse)
+      conv_sparse(head, x, idx, cnt, part.pre.data());
+    else
+      conv_dense(head, x, part.cols.data(), part.pre.data());
+  } else if (sparse) {
+    linear_sparse(head, x, idx, cnt, part.pre.data());
+  } else {
+    pre = linear_out_.data() + s * head.out_elems;  // see linear_dense
   }
+  if (timed)
+    (sparse ? part.sparse_ns : part.dense_ns) += obs::telemetry_now_ns() - t0;
+  if (config_.record_stats)
+    part.nz[blk.begin + 1] += biased_nonzeros(
+        pre, head.bias, blk.rows * blk.cols, blk.channels);
 
-  for (; li < blk.end; ++li) {
-    const CompiledLayer& l = layers[li];
-    switch (l.kind) {
-      case OpKind::kLif: {
-        StreamState& st = *streams[s];
-        float* out = fresh_plane();
-        cur_nz = lif(l, cur, st.steps_done_ == 0,
-                     st.arena_.data() + l.membrane_offset, out);
-        cur = out;
-        break;
-      }
-      case OpKind::kMaxPool2d:
-      case OpKind::kAvgPool2d: {
-        float* out = fresh_plane();
-        if (l.kind == OpKind::kMaxPool2d)
-          maxpool(l, cur, out);
-        else
-          avgpool(l, cur, out);
-        cur = out;
-        cur_nz = stats ? nonzeros(cur, l.out_elems) : -1;
-        break;
-      }
-      case OpKind::kFlatten:  // a reshape: same plane, same count
-        break;
-      case OpKind::kConv2d:
-      case OpKind::kLinear:
-        ST_ASSERT(false, "synaptic layer inside a block tail");
-    }
-    if (cur_nz >= 0) part.nz[li + 1] += cur_nz;
-  }
-
+  // Epilogue straight into the next block's input row (or, for the last
+  // block, a scratch row for the output tallies).
+  const bool last = b + 1 == blocks.size();
   const std::int64_t out_elems = layers[blk.end - 1].out_elems;
-  if (b + 1 < model_->blocks().size()) {
-    // Hand the next block its input row and ascending index list.
+  float* dst = last ? part.out.data()
+                    : inputs_[b + 1].plane.data() + s * out_elems;
+  StreamState& st = *streams[s];
+  part.nz[blk.begin + 2] +=
+      lif_pool(blk, head, lif, pre, st.steps_done_ == 0,
+               st.arena_.data() + lif.membrane_offset, part.acc.data(), dst);
+
+  std::int64_t out_nz = 0;
+  if (!last) {
+    // The next block's input row is complete: index it in place.
     BlockInput& next = inputs_[b + 1];
-    float* dst = next.plane.data() + s * out_elems;
-    std::copy(cur, cur + out_elems, dst);
-    const std::int64_t c =
-        index_row(dst, out_elems, next.idx.data() + s * out_elems);
-    next.count[static_cast<std::size_t>(s)] = c;
-    if (cur_nz < 0) part.nz[blk.end] += c;
+    out_nz = index_row(dst, out_elems, next.idx.data() + s * out_elems);
+    next.count[static_cast<std::size_t>(s)] = out_nz;
   } else {
     // Network output: the window tally and the stream's lifetime tally
     // advance by the same 0/1 floats — exact small-integer accumulation, so
     // cumulative_counts() after k steps equals a k-step window's
     // spike_counts bit for bit, and both match the dense path's ops::add_.
-    float* w = window_counts + s * out_elems;
-    float* c = streams[s]->counts_.data();
+    float* wc = window_counts + s * out_elems;
+    float* c = st.counts_.data();
     for (std::int64_t j = 0; j < out_elems; ++j) {
-      w[j] += cur[j];
-      c[j] += cur[j];
+      wc[j] += dst[j];
+      c[j] += dst[j];
     }
+    out_nz = nonzeros(dst, out_elems);
   }
+  // The pool's and every flatten's output: the block's output.
+  for (std::size_t slot = blk.begin + 3; slot <= blk.end; ++slot)
+    part.nz[slot] += out_nz;
 }
 
 void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
@@ -451,42 +443,44 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
     std::fill(part.nz.begin(), part.nz.end(), 0);
     part.sparse_ns = part.dense_ns = 0;
   }
-  std::fill(boundary_nz_.begin(), boundary_nz_.end(), 0);
 
   const bool timed = config_.record_stage_times;
-  if (blocks.front().synaptic) {
-    const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
-    boundary_nz_[0] = build_index_lists(x, n, layers.front().in_elems);
-    if (timed) result.index_ns += obs::telemetry_now_ns() - t0;
-  }
+  const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
+  const std::int64_t input_nz =
+      build_index_lists(x, n, layers.front().in_elems);
+  if (timed) result.index_ns += obs::telemetry_now_ns() - t0;
+  // The network input and any leading flattens' outputs.
+  std::fill(boundary_nz_.begin(), boundary_nz_.end(), 0);
+  std::fill(boundary_nz_.begin(),
+            boundary_nz_.begin() +
+                static_cast<std::ptrdiff_t>(blocks.front().begin) + 1,
+            input_nz);
 
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const LayerBlock& blk = blocks[b];
     const CompiledLayer& head = layers[blk.begin];
     const float* in_plane = b == 0 ? x : inputs_[b].plane.data();
-    bool sparse = false;
-    if (blk.synaptic) {
-      // Exact batch-wide density drives the kernel choice, so dispatch is
-      // deterministic for any thread count.
-      const std::int64_t nz = boundary_nz_[blk.begin];
-      const std::int64_t in_total = n * head.in_elems;
-      totals.dispatch_nz += nz;
-      totals.dispatch_elems += in_total;
-      sparse = static_cast<double>(nz) / static_cast<double>(in_total) <=
-               config_.sparse_crossover;
-      obs::flight_record(sparse ? obs::FlightEventId::kInferSparseDispatch
-                                : obs::FlightEventId::kInferDenseDispatch,
-                         static_cast<std::uint64_t>(blk.begin),
-                         static_cast<std::uint64_t>(nz));
-      if (sparse) {
-        ++result.sparse_dispatches;
-      } else {
-        ++result.dense_dispatches;
-        if (head.kind == OpKind::kLinear) {
-          const std::uint64_t t0 = timed ? obs::telemetry_now_ns() : 0;
-          linear_dense(head, in_plane, n, linear_out_.data());
-          if (timed) result.dense_kernel_ns += obs::telemetry_now_ns() - t0;
-        }
+    // Exact batch-wide density drives the kernel choice, so dispatch is
+    // deterministic for any thread count.
+    const std::int64_t nz = boundary_nz_[blk.begin];
+    const std::int64_t in_total = n * head.in_elems;
+    totals.dispatch_nz += nz;
+    totals.dispatch_elems += in_total;
+    const bool sparse = static_cast<double>(nz) /
+                            static_cast<double>(in_total) <=
+                        config_.sparse_crossover;
+    obs::flight_record(sparse ? obs::FlightEventId::kInferSparseDispatch
+                              : obs::FlightEventId::kInferDenseDispatch,
+                       static_cast<std::uint64_t>(blk.begin),
+                       static_cast<std::uint64_t>(nz));
+    if (sparse) {
+      ++result.sparse_dispatches;
+    } else {
+      ++result.dense_dispatches;
+      if (head.kind == OpKind::kLinear) {
+        const std::uint64_t t1 = timed ? obs::telemetry_now_ns() : 0;
+        linear_dense(head, in_plane, n, linear_out_.data());
+        if (timed) result.dense_kernel_ns += obs::telemetry_now_ns() - t1;
       }
     }
 
@@ -498,10 +492,8 @@ void InferenceSession::step_batch(StreamState* const* streams, std::int64_t n,
       }
     });
 
-    // This block's boundary counts (slot li + 1 is layer li's output; a
-    // leading tail also counted the network input, slot 0).
-    for (std::size_t slot = blk.synaptic ? blk.begin + 1 : blk.begin;
-         slot <= blk.end; ++slot)
+    // This block's boundary counts (slot li + 1 is layer li's output).
+    for (std::size_t slot = blk.begin + 1; slot <= blk.end; ++slot)
       for (std::int64_t p = 0; p < parts; ++p)
         boundary_nz_[slot] += parts_[static_cast<std::size_t>(p)].nz[slot];
   }

@@ -2,10 +2,11 @@
 //
 // The session owns every *transient* buffer the hot loop needs — each
 // block's input plane and spike index lists, the dense-linear output, and
-// per-participant kernel scratch — so steady-state inference performs no
-// allocation.  *Persistent* state (LIF membranes, cumulative spike counts)
-// lives in StreamState (infer/stream.h): the session steps a batch of
-// streams, each row reading and writing its own stream's membrane arena.
+// per-participant kernel and epilogue scratch — so steady-state inference
+// performs no allocation.  *Persistent* state (LIF membranes, cumulative
+// spike counts) lives in StreamState (infer/stream.h): the session steps a
+// batch of streams, each row reading and writing its own stream's membrane
+// arena.
 //
 // Two entry points share one body:
 //
@@ -18,21 +19,24 @@
 //     construction, not by parallel maintenance (DESIGN.md §15).
 //
 // A step runs the model's layer blocks (CompiledModel::blocks(): one
-// conv/linear layer plus the LIF/pool/flatten tail up to the next one) in
-// order.  Each block first picks its synaptic kernel from the exact
-// batch-wide nonzero count of its input,
+// conv/linear layer, its LIF, an optional pool and any flattens) in order.
+// Each block first picks its synaptic kernel from the exact batch-wide
+// nonzero count of its input,
 //
 //   * the sparse gather-accumulate kernel, which touches only the nonzero
 //     input columns via the model's [K, out] transposed weights, or
-//   * the dense im2col+GEMM / GEMM kernel — the same kernels the training
+//   * the dense im2col+GEMM / GEMM kernel — the same arithmetic the training
 //     stack runs — once batch-wide input density exceeds
 //     InferOptions::sparse_crossover,
 //
-// then makes one pass over the samples: per sample, the kernel, LIF, pool
-// and the next block's input row with its ascending index list, all in the
-// participant's cache-resident scratch.  Only the network input is scanned
-// for index lists; every inner block's lists and counts are carried out of
-// the block before it.
+// then makes one pass over the samples.  Per sample the kernel leaves the
+// bias-free pre-activation channel-last ([spatial, OC] for a conv) in the
+// participant's cache-resident scratch, and one fused epilogue walks it row
+// by row: bias, LIF on the stream's membrane (held in the same order), and
+// the pool, storing each finished pooled row straight into the next
+// block's CHW input plane, which is then index-scanned in place.  Only the
+// network input is scanned from the caller's batch; every inner block's
+// lists and counts come out of the block before it.
 //
 // Both paths, at any thread count, produce bit-identical activations to
 // SpikingNetwork::forward (see DESIGN.md §10 for the determinism argument),
@@ -63,9 +67,10 @@ struct InferenceResult {
 
   /// Wall-clock stage split, populated when record_stage_times: time
   /// building the network input's index lists, and time in the sparse and
-  /// dense synaptic kernels (bias and layout included; LIF and pooling are
-  /// in none of the three).  Kernel time is summed over participants.  The
-  /// serving span log forwards the kernel split per request.
+  /// dense synaptic kernels alone (the bias add, LIF and pooling of the
+  /// block epilogue and the next block's index lists are in none of the
+  /// three).  Kernel time is summed over participants.  The serving span
+  /// log forwards the kernel split per request.
   std::uint64_t index_ns = 0;
   std::uint64_t sparse_kernel_ns = 0;
   std::uint64_t dense_kernel_ns = 0;
@@ -113,9 +118,9 @@ class InferenceSession {
     std::int64_t spikes = 0;
   };
 
-  /// One block's batch-wide input: its values plane (unused for block 0,
-  /// which reads the caller's batch in place) and, for a synaptic block,
-  /// the per-sample ascending nonzero index lists and their counts.
+  /// One block's batch-wide input: its CHW values plane (unused for block
+  /// 0, which reads the caller's batch in place) and the per-sample
+  /// ascending nonzero index lists and their counts.
   struct BlockInput {
     std::vector<float> plane;         // capacity * in_elems
     std::vector<std::int32_t> idx;    // capacity * in_elems
@@ -123,12 +128,13 @@ class InferenceSession {
   };
 
   /// Scratch and tallies of one parallel_for participant, sized for the
-  /// largest layer so a sample's planes stay in that core's cache.
+  /// largest block so a sample's rows stay in that core's cache.
   /// Aligned so participants' clocks never share a cache line.
   struct alignas(64) Participant {
-    std::vector<float> scatter;    // sparse conv: [spatial, OC]
+    std::vector<float> pre;        // a sample's [spatial, OC] pre-activation
     std::vector<float> cols;       // dense conv: im2col
-    std::vector<float> ping, pong; // a sample's activation planes
+    std::vector<float> acc;        // one pooled row, [cols / k, OC]
+    std::vector<float> out;        // the last block's output row
     std::vector<std::int64_t> nz;  // [num_layers + 1] boundary nonzeros
     std::uint64_t sparse_ns = 0;
     std::uint64_t dense_ns = 0;
@@ -140,8 +146,9 @@ class InferenceSession {
   /// and returns the batch-wide nonzero total.
   std::int64_t build_index_lists(const float* in, std::int64_t batch,
                                  std::int64_t in_elems);
-  /// Runs block `b` on sample `s`: kernel, tail, then the next block's
-  /// input row and index list (or, for the last block, the output tallies).
+  /// Runs block `b` on sample `s`: kernel, then the fused bias/LIF/pool
+  /// epilogue into the next block's input row, then that row's index list
+  /// (or, for the last block, the output tallies).
   void block_sample(std::size_t b, bool sparse, const float* in_plane,
                     StreamState* const* streams, std::int64_t s,
                     float* window_counts, Participant& part);
@@ -163,10 +170,10 @@ class InferenceSession {
   std::vector<std::int64_t> boundary_nz_;   // step totals, per boundary
   std::vector<StreamState> pool_;           // scratch streams for run()
   std::vector<StreamState*> pool_ptrs_;
-  std::int64_t plane_stride_ = 0;    // max layer out_elems
-  std::int64_t scatter_stride_ = 0;  // max conv spatial*OC
-  std::int64_t cols_stride_ = 0;     // max conv col_rows*spatial
-  std::int64_t linear_stride_ = 0;   // max linear out_elems
+  std::int64_t pre_stride_ = 0;     // max synaptic out_elems
+  std::int64_t acc_stride_ = 0;     // max pooled row, (cols / k) * OC
+  std::int64_t cols_stride_ = 0;    // max conv col_rows*spatial
+  std::int64_t linear_stride_ = 0;  // max linear out_elems
 };
 
 }  // namespace spiketune::infer

@@ -9,7 +9,9 @@
 //
 //   * the membrane potential of every LIF layer, laid out as one contiguous
 //     arena using the membrane_offset plan assigned at CompiledModel::
-//     compile() (one allocation per stream, one flat tensor to checkpoint),
+//     compile() (one allocation per stream, one flat tensor to checkpoint);
+//     a conv layer's plane is held channel-last, [OH, OW, OC], the order
+//     the session's block epilogue walks,
 //   * the cumulative output spike counts (what a whole-window run() would
 //     have returned, accumulated step by step), and
 //   * how many steps the stream has consumed — step 0 is special: the LIF
@@ -67,7 +69,8 @@ class StreamState {
   /// same input fed as one window.
   const std::vector<float>& cumulative_counts() const { return counts_; }
   /// Raw membrane arena (concatenated LIF planes per CompiledLayer::
-  /// membrane_offset).  Exposed for checkpointing and bit-exactness tests.
+  /// membrane_offset; conv planes channel-last).  Exposed for checkpointing
+  /// and bit-exactness tests.
   const std::vector<float>& membrane_arena() const { return arena_; }
 
  private:

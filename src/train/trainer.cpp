@@ -421,7 +421,8 @@ class EvalEngine {
         opts.record_stats = true;
         session_.emplace(*model_, opts);
       } catch (const InvalidArgument&) {
-        // Unsupported layer type; the dense fallback below handles it.
+        // Unsupported layer type or order; the dense fallback below
+        // handles it.
       }
     }
     if (session_.has_value()) {

@@ -16,9 +16,15 @@
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "infer/session.h"
+#include "snn/conv2d.h"
+#include "snn/layers.h"
+#include "snn/lif.h"
+#include "snn/linear.h"
 #include "snn/model_zoo.h"
 #include "snn/network.h"
+#include "snn/pool.h"
 #include "snn/rlif.h"
+#include "tensor/tensor_ops.h"
 
 namespace spiketune::infer {
 namespace {
@@ -241,6 +247,55 @@ TEST(InferParity, CsnnServedShapeRateCoded) {
   expect_kernels_agree_on_membranes(*net, Shape{3, 32, 32}, window);
 }
 
+TEST(InferParity, ConvWithoutPoolMatchesDenseForward) {
+  // A conv block with no pool runs the epilogue with k = 1: the LIF's
+  // spikes go from the channel-last row straight into the CHW plane the
+  // flatten hands to the linear layer.  The conv is padded and bias-free.
+  snn::SpikingNetwork net;
+  Rng init(0xc0a1);
+  net.add<snn::Conv2d>(snn::Conv2dConfig{3, 8, 3, 1, false}, init);
+  net.add<snn::Lif>(snn::LifConfig{});
+  net.add<snn::Flatten>();
+  net.add<snn::Linear>(snn::LinearConfig{8 * 12 * 9, 12}, init);
+  net.add<snn::Lif>(snn::LifConfig{});
+  for (snn::Param* p : net.params()) ops::scale_(p->value, 3.0f);
+  const Shape per_sample{3, 12, 9};
+  Rng rng(0x9001);
+  auto window = random_window(4, Shape{5, 3, 12, 9}, 0.3, rng);
+  for (double crossover : {1.5, -1.0}) {
+    SCOPED_TRACE("crossover=" + std::to_string(crossover));
+    expect_every_lif_fires(check_parity(net, per_sample, window, crossover));
+  }
+  expect_kernels_agree_on_membranes(net, per_sample, window);
+}
+
+TEST(InferParity, NonSquareInputAndOddPoolWindowsMatchDenseForward) {
+  // 3x21x16 input: conv1 gives 19x14, whose 3x3 avg-pool floors one row
+  // and two columns (6x4); the padded conv2 keeps 6x4 for a 2x2 max-pool.
+  // Pool windows other than 2, and rows that differ from columns, are
+  // what the csnn tests do not reach.
+  snn::SpikingNetwork net;
+  Rng init(0x0dd3);
+  net.add<snn::Conv2d>(snn::Conv2dConfig{3, 6, 3}, init);
+  net.add<snn::Lif>(snn::LifConfig{});
+  net.add<snn::AvgPool2d>(3);
+  net.add<snn::Conv2d>(snn::Conv2dConfig{6, 8, 3, 1}, init);
+  net.add<snn::Lif>(snn::LifConfig{});
+  net.add<snn::MaxPool2d>(2);
+  net.add<snn::Flatten>();
+  net.add<snn::Linear>(snn::LinearConfig{8 * 3 * 2, 10}, init);
+  net.add<snn::Lif>(snn::LifConfig{});
+  for (snn::Param* p : net.params()) ops::scale_(p->value, 4.0f);
+  const Shape per_sample{3, 21, 16};
+  Rng rng(0x5e3);
+  auto window = random_window(4, Shape{5, 3, 21, 16}, 0.3, rng);
+  for (double crossover : {1.5, -1.0}) {
+    SCOPED_TRACE("crossover=" + std::to_string(crossover));
+    expect_every_lif_fires(check_parity(net, per_sample, window, crossover));
+  }
+  expect_kernels_agree_on_membranes(net, per_sample, window);
+}
+
 TEST(InferParity, CrossoverForcesEachKernelWithoutChangingResults) {
   snn::MlpConfig cfg;
   cfg.in_features = 40;
@@ -393,6 +448,55 @@ TEST(InferCompile, RejectsUnsupportedLayers) {
   rcfg.features = 8;
   net.add<snn::Rlif>(rcfg);
   EXPECT_THROW(CompiledModel::compile(net, Shape{8}), InvalidArgument);
+}
+
+TEST(InferCompile, RejectsBlocksTheEpilogueCannotRun) {
+  // Every conv/linear layer must be followed by a LIF, and a pool must come
+  // directly after that LIF.
+  Rng rng(0xb10c);
+  {
+    SCOPED_TRACE("pool before the LIF");
+    snn::SpikingNetwork net;
+    net.add<snn::Conv2d>(snn::Conv2dConfig{3, 4, 3}, rng);
+    net.add<snn::MaxPool2d>(2);
+    net.add<snn::Lif>(snn::LifConfig{});
+    net.add<snn::Flatten>();
+    net.add<snn::Linear>(snn::LinearConfig{4 * 5 * 5, 6}, rng);
+    net.add<snn::Lif>(snn::LifConfig{});
+    EXPECT_THROW(CompiledModel::compile(net, Shape{3, 12, 12}),
+                 InvalidArgument);
+  }
+  {
+    SCOPED_TRACE("conv without a LIF");
+    snn::SpikingNetwork net;
+    net.add<snn::Conv2d>(snn::Conv2dConfig{3, 4, 3}, rng);
+    net.add<snn::Flatten>();
+    net.add<snn::Linear>(snn::LinearConfig{4 * 10 * 10, 6}, rng);
+    net.add<snn::Lif>(snn::LifConfig{});
+    EXPECT_THROW(CompiledModel::compile(net, Shape{3, 12, 12}),
+                 InvalidArgument);
+  }
+  {
+    SCOPED_TRACE("second pool after the LIF's pool");
+    snn::SpikingNetwork net;
+    net.add<snn::Conv2d>(snn::Conv2dConfig{3, 4, 3}, rng);
+    net.add<snn::Lif>(snn::LifConfig{});
+    net.add<snn::AvgPool2d>(2);
+    net.add<snn::MaxPool2d>(1);
+    net.add<snn::Flatten>();
+    net.add<snn::Linear>(snn::LinearConfig{4 * 5 * 5, 6}, rng);
+    net.add<snn::Lif>(snn::LifConfig{});
+    EXPECT_THROW(CompiledModel::compile(net, Shape{3, 12, 12}),
+                 InvalidArgument);
+  }
+  {
+    SCOPED_TRACE("linear without a LIF");
+    snn::SpikingNetwork net;
+    net.add<snn::Linear>(snn::LinearConfig{8, 6}, rng);
+    net.add<snn::Linear>(snn::LinearConfig{6, 4}, rng);
+    net.add<snn::Lif>(snn::LifConfig{});
+    EXPECT_THROW(CompiledModel::compile(net, Shape{8}), InvalidArgument);
+  }
 }
 
 TEST(InferSession, RejectsMismatchedInputs) {

@@ -52,6 +52,9 @@ const obs::MetricSnapshot* find_metric(
     if (s.name == name) return &s;
   return nullptr;
 }
+// The result points into `snaps`: a temporary would be gone before use.
+const obs::MetricSnapshot* find_metric(std::vector<obs::MetricSnapshot>&&,
+                                       const std::string&) = delete;
 
 // ---------------------------------------------------------------- JsonValue
 
@@ -331,8 +334,8 @@ TEST(SpikeHealth, DeadLayerFiresOnceAndRearmsAfterRecovery) {
   EXPECT_EQ(monitor.check(monitor.config().min_epoch + 3, dead).size(), 1u);
   EXPECT_EQ(monitor.warning_count(), 2);
 
-  const auto* counter =
-      find_metric(obs::snapshot_metrics(), "train.spike_health.dead_layer");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* counter = find_metric(snaps, "train.spike_health.dead_layer");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->count, 2);
 }
@@ -589,8 +592,8 @@ TEST(LedgerEndToEnd, DeadNetworkTriggersSpikeHealthWarnings) {
   for (const auto& w : parsed.warnings)
     if (w.detector == "dead_layer") saw_dead = true;
   EXPECT_TRUE(saw_dead);
-  const auto* counter =
-      find_metric(obs::snapshot_metrics(), "train.spike_health.dead_layer");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* counter = find_metric(snaps, "train.spike_health.dead_layer");
   ASSERT_NE(counter, nullptr);
   EXPECT_GT(counter->count, 0);
 }

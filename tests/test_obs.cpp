@@ -43,6 +43,9 @@ const obs::MetricSnapshot* find_metric(
     if (s.name == name) return &s;
   return nullptr;
 }
+// The result points into `snaps`: a temporary would be gone before use.
+const obs::MetricSnapshot* find_metric(std::vector<obs::MetricSnapshot>&&,
+                                       const std::string&) = delete;
 
 /// Minimal JSON syntax validator (objects, arrays, strings, numbers,
 /// true/false/null).  Returns false on the first violation — enough to
@@ -190,7 +193,8 @@ TEST(Metrics, CounterAccumulates) {
   TelemetryGuard g(obs::kMetricsBit);
   obs::add(id);
   obs::add(id, 41);
-  const auto* snap = find_metric(obs::snapshot_metrics(), "test.counter.basic");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.counter.basic");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->kind, obs::MetricKind::kCounter);
   EXPECT_EQ(snap->count, 42);
@@ -225,7 +229,8 @@ TEST(Metrics, GaugeLastWriterWins) {
   TelemetryGuard g(obs::kMetricsBit);
   obs::set(id, 1.5);
   obs::set(id, -7.25);
-  const auto* snap = find_metric(obs::snapshot_metrics(), "test.gauge.last");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.gauge.last");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->kind, obs::MetricKind::kGauge);
   EXPECT_DOUBLE_EQ(snap->value, -7.25);
@@ -235,7 +240,8 @@ TEST(Metrics, HistogramObservations) {
   const obs::MetricId id = obs::histogram("test.hist.basic");
   TelemetryGuard g(obs::kMetricsBit);
   for (double v : {1.0, 2.0, 4.0, 8.0, 100.0}) obs::observe(id, v);
-  const auto* snap = find_metric(obs::snapshot_metrics(), "test.hist.basic");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.hist.basic");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->hist.count(), 5);
   EXPECT_DOUBLE_EQ(snap->hist.sum(), 115.0);
@@ -257,8 +263,8 @@ TEST(Metrics, ConcurrentWritersSumExactly) {
       for (int i = 0; i < kAdds; ++i) obs::add(id);
     });
   for (auto& t : threads) t.join();
-  const auto* snap =
-      find_metric(obs::snapshot_metrics(), "test.counter.concurrent");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.counter.concurrent");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->count, static_cast<std::int64_t>(kThreads) * kAdds);
 }
@@ -438,8 +444,8 @@ TEST(Profiler, ScopedTimerFeedsHistogramMetric) {
   {
     obs::ScopedTimer t("hist_scope", id);
   }
-  const auto* snap =
-      find_metric(obs::snapshot_metrics(), "test.scope.duration_ns");
+  const auto snaps = obs::snapshot_metrics();
+  const auto* snap = find_metric(snaps, "test.scope.duration_ns");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->hist.count(), 1);
 }
