@@ -1,6 +1,7 @@
 // MICRO — google-benchmark suite for the hot kernels underpinning training,
 // inference and simulation: GEMM variants (square, and at the csnn training
-// shapes), im2col, conv forward/backward, the LIF step, spike encoders, the
+// shapes), im2col, conv forward/backward, the LIF step, one LIF training
+// window and one spike-sparse conv training step, spike encoders, the
 // end-to-end CSNN timestep, one streaming inference step, and the hardware
 // models (allocator, analytic analysis, event-sim tick).
 #include <benchmark/benchmark.h>
@@ -157,8 +158,10 @@ void BM_ConvForward(benchmark::State& state) {
   Rng rng(4);
   snn::Conv2d conv(snn::Conv2dConfig{3, 32, 3}, rng);
   Tensor x = Tensor::uniform(Shape{8, 3, img, img}, rng, -1.0f, 1.0f);
-  conv.begin_window(8, false);
   for (auto _ : state) {
+    // A fresh window each time: within one, a repeated input reuses the
+    // previous step's output instead of convolving.
+    conv.begin_window(8, false);
     Tensor y = conv.forward_step(x);
     benchmark::DoNotOptimize(y.data());
   }
@@ -207,6 +210,59 @@ BENCHMARK(BM_LifStep)
     ->UseRealTime()
     ->ArgNames({"n", "threads"})
     ->ArgsProduct({{1024, 65536}, kThreadCounts});
+
+void BM_LifWindowTrain(benchmark::State& state) {
+  // One training window of the csnn's first LIF at the train_epoch shape
+  // (batch 32, 32 channels, 14x14 after conv1): 8 forward steps caching
+  // u_pre, then the 8-step BPTT sweep.
+  const Shape shape{32, 32, 14, 14};
+  constexpr int kSteps = 8;
+  snn::LifConfig cfg;
+  cfg.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
+  snn::Lif lif(cfg);
+  Rng rng(11);
+  std::vector<Tensor> inputs, grads;
+  for (int t = 0; t < kSteps; ++t) {
+    inputs.push_back(Tensor::uniform(shape, rng, -0.5f, 1.5f));
+    grads.push_back(Tensor::uniform(shape, rng, -1.0f, 1.0f));
+  }
+  for (auto _ : state) {
+    lif.begin_window(shape[0], true);
+    for (const Tensor& x : inputs) {
+      Tensor s = lif.forward_step(x);
+      benchmark::DoNotOptimize(s.data());
+    }
+    lif.begin_backward();
+    for (int t = kSteps - 1; t >= 0; --t) {
+      Tensor g = lif.backward_step(grads[static_cast<std::size_t>(t)]);
+      benchmark::DoNotOptimize(g.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps * 2 * shape.numel());
+}
+BENCHMARK(BM_LifWindowTrain)->UseRealTime();
+
+void BM_ConvTrainStep(benchmark::State& state) {
+  // One training step of the csnn's conv2 at the train_epoch shape (batch
+  // 32, 32->32 channels, 7x7 pooled spikes at density 0.11, the trained
+  // net's): forward, then weight, bias and input gradients.
+  constexpr std::int64_t kBatch = 32;
+  Rng rng(12);
+  snn::Conv2d conv(snn::Conv2dConfig{32, 32, 3}, rng);
+  Tensor x(Shape{kBatch, 32, 7, 7});
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = rng.uniform() < 0.11 ? 1.0f : 0.0f;
+  const Tensor g = Tensor::uniform(Shape{kBatch, 32, 5, 5}, rng, -1.0f, 1.0f);
+  for (auto _ : state) {
+    conv.begin_window(kBatch, true);
+    Tensor y = conv.forward_step(x);
+    Tensor gx = conv.backward_step(g);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_ConvTrainStep)->UseRealTime();
 
 void BM_RateEncode(benchmark::State& state) {
   data::RateEncoder enc(7);

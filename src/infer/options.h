@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string>
 
+#include "tensor/spike_conv.h"
+
 namespace spiketune::infer {
 
 struct InferOptions {
@@ -19,7 +21,7 @@ struct InferOptions {
   /// Batch-wide input density at or below which a conv/linear layer takes
   /// the sparse kernel.  Set < 0 to force the dense path, >= 1 to force the
   /// sparse path (both paths stay bit-identical; only speed changes).
-  double sparse_crossover = 0.35;
+  double sparse_crossover = kDefaultSparseCrossover;
   /// Populate InferenceResult::stats (one counting pass per layer boundary,
   /// identical to ForwardOptions::record_stats).
   bool record_stats = false;

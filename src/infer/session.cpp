@@ -10,21 +10,11 @@
 #include "obs/profiler.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/spike_conv.h"
 
 namespace spiketune::infer {
 
 namespace {
-
-// Writes the ascending indices of x's nonzeros into idx and returns their
-// count.  Branch-free: idx must hold n entries.
-std::int64_t index_row(const float* x, std::int64_t n, std::int32_t* idx) {
-  std::int64_t c = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    idx[c] = static_cast<std::int32_t>(i);
-    c += (x[i] != 0.0f);
-  }
-  return c;
-}
 
 // Same nonzero predicate as ops::count_nonzero.
 std::int64_t nonzeros(const float* x, std::int64_t n) {
@@ -44,42 +34,12 @@ std::int64_t nonzeros(const float* x, std::int64_t n) {
 // argument.
 
 // Conv2d, sparse: scatter each nonzero input pixel through the [K, OC]
-// transposed weights into the zeroed [spatial, OC] pre-activation.  For any
-// fixed output element, contributions land in ascending p = (ic, kh, kw)
-// order — the dense im2col+GEMM reduction order — and the terms that differ
-// between the two paths are exact ±0.0 products, so the result is
-// bit-identical to the dense kernel.
+// transposed weights into the zeroed [spatial, OC] pre-activation
+// (tensor/spike_conv.h) — bit-identical to the dense kernel.
 void conv_sparse(const CompiledLayer& l, const float* x,
                  const std::int32_t* idx, std::int64_t cnt, float* pre) {
   ST_PROF_SCOPE("infer.conv_sparse");
-  const ConvGeom& g = l.geom;
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t ocn = l.out_shape[0];
-  const std::int64_t hw = g.height * g.width;
-  const float* wt = l.weight_t.data();
-
-  std::fill(pre, pre + oh * ow * ocn, 0.0f);
-  for (std::int64_t e = 0; e < cnt; ++e) {
-    const std::int64_t f = idx[e];
-    const float v = x[f];
-    const std::int64_t ic = f / hw;
-    const std::int64_t rem = f - ic * hw;
-    const std::int64_t iy = rem / g.width;
-    const std::int64_t ix = rem - iy * g.width;
-    const std::int64_t base_p = ic * g.kernel_h * g.kernel_w;
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      const std::int64_t oy = iy + g.pad_h - kh;
-      if (oy < 0 || oy >= oh) continue;
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        const std::int64_t ox = ix + g.pad_w - kw;
-        if (ox < 0 || ox >= ow) continue;
-        const float* wrow = wt + (base_p + kh * g.kernel_w + kw) * ocn;
-        float* prow = pre + (oy * ow + ox) * ocn;
-        for (std::int64_t oc = 0; oc < ocn; ++oc) prow[oc] += v * wrow[oc];
-      }
-    }
-  }
+  conv_scatter(l.geom, l.out_shape[0], l.weight_t.data(), x, idx, cnt, pre);
 }
 
 // Conv2d, dense: im2col, then gemm_tn of the [K, spatial] columns against
@@ -339,7 +299,7 @@ std::int64_t InferenceSession::build_index_lists(const float* in,
   BlockInput& lists = inputs_.front();
   parallel_for(0, batch, 1, [&](std::int64_t sb, std::int64_t se) {
     for (std::int64_t s = sb; s < se; ++s)
-      lists.count[static_cast<std::size_t>(s)] = index_row(
+      lists.count[static_cast<std::size_t>(s)] = index_nonzeros(
           in + s * in_elems, in_elems, lists.idx.data() + s * in_elems);
   });
   std::int64_t total = 0;
@@ -398,7 +358,7 @@ void InferenceSession::block_sample(std::size_t b, bool sparse,
   if (!last) {
     // The next block's input row is complete: index it in place.
     BlockInput& next = inputs_[b + 1];
-    out_nz = index_row(dst, out_elems, next.idx.data() + s * out_elems);
+    out_nz = index_nonzeros(dst, out_elems, next.idx.data() + s * out_elems);
     next.count[static_cast<std::size_t>(s)] = out_nz;
   } else {
     // Network output: the window tally and the stream's lifetime tally

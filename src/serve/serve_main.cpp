@@ -10,8 +10,8 @@
 // frame.
 //
 //   ./serve --model mlp --port 7421 --workers 2
-//   ./serve --model csnn --batch 32 --latency-budget-us 3000 \
-//           --metrics-out serve_metrics.csv --ledger runs
+//   ./serve --model csnn --batch 32 --latency-budget-us 3000 --ledger runs
+//   ./serve --model csnn --metrics-out serve_metrics.csv
 #include <poll.h>
 
 #include <cstdio>

@@ -82,7 +82,7 @@ struct ServerConfig {
   std::int64_t batch_timeout_us = 2000;  // coalescing latency budget
   std::int64_t max_queue_depth = 256;    // admission-control bound
   std::int64_t max_steps = 64;           // per-request window-length cap
-  double sparse_crossover = 0.35;        // forwarded to every session
+  double sparse_crossover = kDefaultSparseCrossover;  // to every session
   // Connection hygiene.  send_timeout_ms bounds every response write: a
   // peer that stops reading is cut after this budget instead of wedging a
   // worker (0 = unbounded).  idle_timeout_ms reaps connections with no

@@ -1,11 +1,14 @@
 #include "snn/conv2d.h"
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/error.h"
 #include "core/parallel.h"
 #include "obs/profiler.h"
 #include "tensor/gemm.h"
+#include "tensor/spike_conv.h"
 
 namespace spiketune::snn {
 
@@ -38,46 +41,113 @@ ConvGeom Conv2d::geom_for(const Shape& input) const {
 
 void Conv2d::begin_window(std::int64_t, bool training) {
   training_ = training;
-  input_cache_.clear();
+  weight_t_stale_ = true;
+  inputs_.clear();
+  step_inputs_.clear();
+  cols_valid_ = false;
+}
+
+void Conv2d::release_window_buffers() {
+  last_output_ = Tensor();
+  std::vector<std::int32_t>().swap(idx_);
+  std::vector<float>().swap(cols_);
+  std::vector<float>().swap(go_t_);
+}
+
+bool Conv2d::index_inputs(const ConvGeom& g, const Tensor& x) {
+  const std::int64_t n = x.shape()[0];
+  const std::int64_t in_stride = g.channels * g.height * g.width;
+  idx_.resize(static_cast<std::size_t>(n * in_stride));
+  count_.resize(static_cast<std::size_t>(n));
+  parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
+    for (std::int64_t i = sb; i < se; ++i)
+      count_[static_cast<std::size_t>(i)] =
+          index_nonzeros(x.data() + i * in_stride, in_stride,
+                         idx_.data() + i * in_stride);
+  });
+  std::int64_t nz = 0;
+  for (std::int64_t c : count_) nz += c;
+  // The inference session's rule: exact batch-wide density, so dispatch is
+  // the same for any thread count.
+  return static_cast<double>(nz) / static_cast<double>(x.numel()) <=
+         kDefaultSparseCrossover;
 }
 
 Tensor Conv2d::forward_step(const Tensor& input) {
   ST_PROF_SCOPE("conv2d.fwd");
   const ConvGeom g = geom_for(input.shape());
+  // Direct coding feeds the same image at every step: a step whose input
+  // is bitwise the previous one's has that step's output.
+  if (!inputs_.empty() && inputs_.back().x.same_shape(input) &&
+      std::memcmp(inputs_.back().x.data(), input.data(),
+                  static_cast<std::size_t>(input.numel()) * sizeof(float)) ==
+          0) {
+    if (training_) step_inputs_.push_back(inputs_.size() - 1);
+    return last_output_;
+  }
+
   const std::int64_t n = input.shape()[0];
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
+  const std::int64_t ocn = config_.out_channels;
   const std::int64_t kk = g.col_rows();    // IC*KH*KW
-  const std::int64_t spatial = oh * ow;
+  const std::int64_t spatial = g.col_cols();
+  const bool sparse = index_inputs(g, input);
+  if (sparse && weight_t_stale_) {
+    weight_t_ = Tensor(Shape{kk, ocn});
+    const float* w = weight_.value.data();
+    float* wt = weight_t_.data();
+    for (std::int64_t oc = 0; oc < ocn; ++oc)
+      for (std::int64_t p = 0; p < kk; ++p) wt[p * ocn + oc] = w[oc * kk + p];
+    weight_t_stale_ = false;
+  }
 
-  Tensor output(Shape{n, config_.out_channels, oh, ow});
-
+  Tensor output(Shape{n, ocn, g.out_h(), g.out_w()});
   const std::int64_t in_stride = g.channels * g.height * g.width;
-  const std::int64_t out_stride = config_.out_channels * spatial;
+  const std::int64_t out_stride = ocn * spatial;
+  const float* b = config_.bias ? bias_.value.data() : nullptr;
   // The forward pass has no cross-sample reductions, so the batch splits
-  // across threads with one im2col scratch buffer per slice; each sample
-  // writes its own output block.  (With a single-sample batch the slice
-  // runs inline and the im2col/gemm kernels parallelize internally.)
+  // across threads with one scratch buffer per slice; each sample writes
+  // its own output block.  (With a single-sample batch the slice runs
+  // inline and the im2col/gemm kernels parallelize internally.)
   parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    std::vector<float> cols(static_cast<std::size_t>(kk * spatial));
+    std::vector<float> buf(
+        static_cast<std::size_t>((sparse ? ocn : kk) * spatial));
     for (std::int64_t i = sb; i < se; ++i) {
-      im2col(g, input.data() + i * in_stride, cols.data());
+      const float* x = input.data() + i * in_stride;
+      float* out = output.data() + i * out_stride;
+      if (sparse) {
+        // [spatial, OC] scatter, then out[oc, s] = pre[s, oc] + bias[oc]:
+        // the dense path's one bias add per element.
+        conv_scatter(g, ocn, weight_t_.data(), x,
+                     idx_.data() + i * in_stride,
+                     count_[static_cast<std::size_t>(i)], buf.data());
+        for (std::int64_t oc = 0; oc < ocn; ++oc) {
+          float* plane = out + oc * spatial;
+          if (b != nullptr)
+            for (std::int64_t s = 0; s < spatial; ++s)
+              plane[s] = buf[static_cast<std::size_t>(s * ocn + oc)] + b[oc];
+          else
+            for (std::int64_t s = 0; s < spatial; ++s)
+              plane[s] = buf[static_cast<std::size_t>(s * ocn + oc)];
+        }
+        continue;
+      }
+      im2col(g, x, buf.data());
       // out[OC, OHW] = W[OC, K] * cols[K, OHW]
-      gemm(config_.out_channels, spatial, kk, 1.0f, weight_.value.data(),
-           cols.data(), 0.0f, output.data() + i * out_stride);
-      if (config_.bias) {
-        float* out = output.data() + i * out_stride;
-        const float* b = bias_.value.data();
-        for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
+      gemm(ocn, spatial, kk, 1.0f, weight_.value.data(), buf.data(), 0.0f,
+           out);
+      if (b != nullptr)
+        for (std::int64_t oc = 0; oc < ocn; ++oc) {
           const float bv = b[oc];
           float* plane = out + oc * spatial;
           for (std::int64_t s = 0; s < spatial; ++s) plane[s] += bv;
         }
-      }
     }
   });
 
-  if (training_) input_cache_.push_back(input);
+  if (!training_) inputs_.clear();
+  inputs_.push_back(StepInput{input, sparse});
+  if (training_) step_inputs_.push_back(inputs_.size() - 1);
+  last_output_ = output;
   return output;
 }
 
@@ -89,61 +159,132 @@ void Conv2d::backward_step_params(const Tensor& grad_output) {
   backward(grad_output, false);
 }
 
+void Conv2d::sparse_weight_grad(const ConvGeom& g, const Tensor& x,
+                                const Tensor& grad_output) {
+  const std::int64_t n = x.shape()[0];
+  const std::int64_t ocn = config_.out_channels;
+  const std::int64_t kk = g.col_rows();
+  const std::int64_t spatial = g.col_cols();
+  const std::int64_t in_stride = g.channels * g.height * g.width;
+  go_t_.resize(static_cast<std::size_t>(n * spatial * ocn));
+  grad_t_.resize(static_cast<std::size_t>(kk * ocn));
+  float* go_t = go_t_.data();
+  float* gt = grad_t_.data();
+  float* gw = weight_.grad.data();
+  // Channel-last output gradient per sample, and the gradient as [K, OC],
+  // so the gather's inner loop runs over contiguous output channels.
+  parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
+    for (std::int64_t i = sb; i < se; ++i) {
+      const float* go = grad_output.data() + i * ocn * spatial;
+      float* dst = go_t + i * spatial * ocn;
+      for (std::int64_t oc = 0; oc < ocn; ++oc)
+        for (std::int64_t s = 0; s < spatial; ++s)
+          dst[s * ocn + oc] = go[oc * spatial + s];
+    }
+  });
+  for (std::int64_t oc = 0; oc < ocn; ++oc)
+    for (std::int64_t p = 0; p < kk; ++p) gt[p * ocn + oc] = gw[oc * kk + p];
+  // Threads own disjoint gradient rows (output channels) and each walks
+  // the samples in batch order, so every element's sum keeps the serial
+  // order at any thread count.
+  parallel_for(0, ocn, 8, [&](std::int64_t ob, std::int64_t oe) {
+    for (std::int64_t i = 0; i < n; ++i)
+      conv_gather_dw(g, ocn, x.data() + i * in_stride,
+                     idx_.data() + i * in_stride,
+                     count_[static_cast<std::size_t>(i)],
+                     go_t + i * spatial * ocn, ob, oe, gt);
+  });
+  for (std::int64_t oc = 0; oc < ocn; ++oc)
+    for (std::int64_t p = 0; p < kk; ++p) gw[oc * kk + p] = gt[p * ocn + oc];
+}
+
 Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   ST_PROF_SCOPE("conv2d.bwd");
-  ST_REQUIRE(!input_cache_.empty(),
+  ST_REQUIRE(!step_inputs_.empty(),
              "conv backward without matching cached forward step");
-  Tensor input = std::move(input_cache_.back());
-  input_cache_.pop_back();
+  const std::size_t slot = step_inputs_.back();
+  step_inputs_.pop_back();
+  ST_ASSERT(slot + 1 == inputs_.size(), "conv step inputs out of order");
+  // Steps that read one input are adjacent; it stays cached while an
+  // earlier step still reads it.
+  const bool shared = !step_inputs_.empty() && step_inputs_.back() == slot;
+  const StepInput& in = inputs_[slot];
+  const Tensor& input = in.x;
 
   const ConvGeom g = geom_for(input.shape());
   const std::int64_t n = input.shape()[0];
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
+  const std::int64_t ocn = config_.out_channels;
   const std::int64_t kk = g.col_rows();
-  const std::int64_t spatial = oh * ow;
-  ST_REQUIRE(grad_output.shape() ==
-                 Shape({n, config_.out_channels, oh, ow}),
+  const std::int64_t spatial = g.col_cols();
+  ST_REQUIRE(grad_output.shape() == Shape({n, ocn, g.out_h(), g.out_w()}),
              "conv grad_output shape mismatch");
 
-  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
-  std::vector<float> grad_cols(
-      input_grad ? static_cast<std::size_t>(kk * spatial) : 0);
-  col_buf_.resize(static_cast<std::size_t>(kk * spatial));
-
   const std::int64_t in_stride = g.channels * g.height * g.width;
-  const std::int64_t out_stride = config_.out_channels * spatial;
-  // The weight gradient accumulates across samples, so the sample loop
-  // stays serial to preserve the serial path's summation order exactly;
-  // the per-sample im2col/gemm/col2im kernels parallelize internally over
-  // disjoint output rows instead.
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* go = grad_output.data() + i * out_stride;
-    // Weight gradient: gW[OC, K] += go[OC, OHW] * cols[K, OHW]^T.
-    im2col(g, input.data() + i * in_stride, col_buf_.data());
-    gemm_nt(config_.out_channels, kk, spatial, 1.0f, go, col_buf_.data(),
-            1.0f, weight_.grad.data());
-    // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW].
-    if (input_grad) {
-      gemm_tn(kk, spatial, config_.out_channels, 1.0f, weight_.value.data(),
-              go, 0.0f, grad_cols.data());
-      col2im(g, grad_cols.data(), grad_input.data() + i * in_stride);
+  const std::int64_t out_stride = ocn * spatial;
+  const std::int64_t col_stride = kk * spatial;
+
+  // Weight gradient: gW[OC, K] += go[OC, OHW] * cols[K, OHW]^T per sample,
+  // samples in batch order.
+  if (in.sparse) {
+    index_inputs(g, input);
+    sparse_weight_grad(g, input, grad_output);
+  } else {
+    // An input read by several steps is lowered once, for all of them.
+    if (shared && !cols_valid_) {
+      cols_.resize(static_cast<std::size_t>(n * col_stride));
+      for (std::int64_t i = 0; i < n; ++i)
+        im2col(g, input.data() + i * in_stride, cols_.data() + i * col_stride);
+      cols_valid_ = true;
     }
-    // Bias gradient: sum over spatial positions (disjoint per channel).
-    if (config_.bias) {
-      float* gb = bias_.grad.data();
-      parallel_for(0, config_.out_channels, 4,
-                   [&](std::int64_t ob, std::int64_t oe) {
-                     for (std::int64_t oc = ob; oc < oe; ++oc) {
-                       const float* plane = go + oc * spatial;
-                       double acc = 0.0;
-                       for (std::int64_t s = 0; s < spatial; ++s)
-                         acc += plane[s];
-                       gb[oc] += static_cast<float>(acc);
-                     }
-                   });
+    if (!cols_valid_)
+      cols_.resize(
+          std::max(cols_.size(), static_cast<std::size_t>(col_stride)));
+    // The sample loop stays serial to preserve the serial path's summation
+    // order exactly; gemm_nt parallelizes internally over disjoint rows.
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* cols = cols_.data();
+      if (cols_valid_)
+        cols += i * col_stride;
+      else
+        im2col(g, input.data() + i * in_stride, cols_.data());
+      gemm_nt(ocn, kk, spatial, 1.0f, grad_output.data() + i * out_stride,
+              cols, 1.0f, weight_.grad.data());
     }
   }
+
+  // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW], then col2im.
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
+  if (input_grad) {
+    std::vector<float> grad_cols(static_cast<std::size_t>(col_stride));
+    for (std::int64_t i = 0; i < n; ++i) {
+      gemm_tn(kk, spatial, ocn, 1.0f, weight_.value.data(),
+              grad_output.data() + i * out_stride, 0.0f, grad_cols.data());
+      col2im(g, grad_cols.data(), grad_input.data() + i * in_stride);
+    }
+  }
+
+  // Bias gradient: sum over spatial positions, per channel in sample order.
+  if (config_.bias) {
+    float* gb = bias_.grad.data();
+    parallel_for(0, ocn, 4, [&](std::int64_t ob, std::int64_t oe) {
+      for (std::int64_t oc = ob; oc < oe; ++oc)
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float* plane =
+              grad_output.data() + i * out_stride + oc * spatial;
+          double acc = 0.0;
+          for (std::int64_t s = 0; s < spatial; ++s) acc += plane[s];
+          gb[oc] += static_cast<float>(acc);
+        }
+    });
+  }
+
+  if (!shared) {
+    inputs_.pop_back();
+    cols_valid_ = false;
+  }
+  // The window's backward is done: its scratch goes, so a trained network
+  // kept alive holds no per-window buffers.
+  if (step_inputs_.empty()) release_window_buffers();
   return grad_input;
 }
 

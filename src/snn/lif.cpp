@@ -13,6 +13,69 @@ namespace {
 // Minimum elements per slice for the elementwise membrane loops; below
 // this the fork-join handshake costs more than the arithmetic.
 constexpr std::int64_t kElemGrain = 2048;
+
+// One forward step over elements [b, e): u_pre = I (+ beta * u_post), the
+// Heaviside spike, the subtractive reset written back into the membrane,
+// and u_pre into the backward cache when `kCache`.  Returns the spike
+// count.  Per element these are the float operations of the recurrence in
+// lif.h, in that order.
+template <bool kCarry, bool kCache>
+std::int64_t lif_forward(const float* __restrict in, float* __restrict m,
+                         float* __restrict spikes, float* __restrict pre,
+                         std::int64_t b, std::int64_t e, float beta,
+                         float theta) {
+  std::int64_t fired = 0;
+  for (std::int64_t i = b; i < e; ++i) {
+    float u = in[i];
+    if constexpr (kCarry) u += beta * m[i];
+    if constexpr (kCache) pre[i] = u;
+    const bool fire = u > theta;
+    spikes[i] = fire ? 1.0f : 0.0f;
+    m[i] = fire ? u - theta : u;
+    fired += fire;
+  }
+  return fired;
+}
+
+// One backward step over elements [b, e): dL/du_pre from the incoming
+// spike gradient and the carry c[t], then c[t-1] = beta * dL/du_pre written
+// over the carry.  Without `kCarry` (the last step) c[t] is 0.  Each
+// multiply-add is one statement, as in the unfused loops, so FMA
+// contraction fuses exactly what it fused there; the surrogate kind is a
+// template argument because a per-element switch let GCC move the
+// multiply away from its add and round them apart.
+template <Surrogate::Kind K, bool kCarry, bool kDetach>
+void lif_backward(const float* __restrict go, const float* __restrict pre,
+                  float* __restrict gi, float* __restrict carry,
+                  std::int64_t b, std::int64_t e, float beta, float theta,
+                  float scale) {
+  for (std::int64_t i = b; i < e; ++i) {
+    const float c = kCarry ? carry[i] : 0.0f;
+    float spike_path = go[i];
+    if constexpr (!kDetach) spike_path = go[i] - theta * c;
+    const float sg = Surrogate::grad_of<K>(pre[i] - theta, scale);
+    const float g = c + spike_path * sg;
+    gi[i] = g;
+    carry[i] = g * beta;
+  }
+}
+
+template <Surrogate::Kind K>
+void lif_backward_kind(bool carry, bool detach, const float* go,
+                       const float* pre, float* gi, float* c, std::int64_t b,
+                       std::int64_t e, float beta, float theta, float scale) {
+  if (carry) {
+    if (detach)
+      lif_backward<K, true, true>(go, pre, gi, c, b, e, beta, theta, scale);
+    else
+      lif_backward<K, true, false>(go, pre, gi, c, b, e, beta, theta, scale);
+  } else if (detach) {
+    lif_backward<K, false, true>(go, pre, gi, c, b, e, beta, theta, scale);
+  } else {
+    lif_backward<K, false, false>(go, pre, gi, c, b, e, beta, theta, scale);
+  }
+}
+
 }  // namespace
 
 Lif::Lif(LifConfig config) : config_(config) {
@@ -34,54 +97,46 @@ Tensor Lif::forward_step(const Tensor& input) {
   ST_PROF_SCOPE("lif.fwd");
   const float beta = config_.beta;
   const float theta = config_.threshold;
-
-  Tensor u_pre = input;  // u_pre = I[t] (+ beta * u_post[t-1] below)
-  if (has_membrane_) {
+  if (has_membrane_)
     ST_REQUIRE(membrane_.same_shape(input),
                "LIF input shape changed mid-window");
-    float* up = u_pre.data();
-    const float* um = membrane_.data();
-    parallel_for(0, u_pre.numel(), kElemGrain,
-                 [&](std::int64_t b, std::int64_t e) {
-                   for (std::int64_t i = b; i < e; ++i)
-                     up[i] += beta * um[i];
-                 });
-  }
+  else if (!membrane_.same_shape(input))
+    membrane_ = Tensor(input.shape());
 
-  Tensor spikes(u_pre.shape());
-  Tensor u_post = u_pre;
-  {
-    const float* up = u_pre.data();
-    float* sp = spikes.data();
-    float* upost = u_post.data();
-    // Disjoint elementwise writes; the spike tally is an integer sum, so
-    // combining per-slice counts is exact for any slicing.
-    std::atomic<std::int64_t> fired{0};
-    parallel_for(0, u_pre.numel(), kElemGrain,
-                 [&](std::int64_t b, std::int64_t e) {
-                   std::int64_t local = 0;
-                   for (std::int64_t i = b; i < e; ++i) {
-                     const bool fire = up[i] > theta;
-                     sp[i] = fire ? 1.0f : 0.0f;
-                     if (fire) {
-                       upost[i] -= theta;
-                       ++local;
-                     }
-                   }
-                   fired.fetch_add(local, std::memory_order_relaxed);
-                 });
-    const std::int64_t n_fired = fired.load(std::memory_order_relaxed);
-    window_spikes_ += n_fired;
-    window_elements_ += u_pre.numel();
-    if (obs::metrics_enabled()) {
-      static const obs::MetricId kSpikes = obs::counter("lif.spikes");
-      obs::add(kSpikes, n_fired);
-    }
-  }
+  float* pre = nullptr;
+  if (training_) pre = pre_cache_.emplace_back(input.shape()).data();
 
-  membrane_ = std::move(u_post);
+  Tensor spikes(input.shape());
+  const float* in = input.data();
+  float* m = membrane_.data();
+  float* sp = spikes.data();
+  const bool carry = has_membrane_;
+  // Disjoint elementwise writes; the spike tally is an integer sum, so
+  // combining per-slice counts is exact for any slicing.
+  std::atomic<std::int64_t> fired{0};
+  parallel_for(0, input.numel(), kElemGrain,
+               [&](std::int64_t b, std::int64_t e) {
+                 std::int64_t local = 0;
+                 if (carry)
+                   local = pre ? lif_forward<true, true>(in, m, sp, pre, b, e,
+                                                         beta, theta)
+                               : lif_forward<true, false>(in, m, sp, pre, b,
+                                                          e, beta, theta);
+                 else
+                   local = pre ? lif_forward<false, true>(in, m, sp, pre, b,
+                                                          e, beta, theta)
+                               : lif_forward<false, false>(in, m, sp, pre, b,
+                                                           e, beta, theta);
+                 fired.fetch_add(local, std::memory_order_relaxed);
+               });
+  const std::int64_t n_fired = fired.load(std::memory_order_relaxed);
+  window_spikes_ += n_fired;
+  window_elements_ += input.numel();
+  if (obs::metrics_enabled()) {
+    static const obs::MetricId kSpikes = obs::counter("lif.spikes");
+    obs::add(kSpikes, n_fired);
+  }
   has_membrane_ = true;
-  if (training_) pre_cache_.push_back(std::move(u_pre));
   return spikes;
 }
 
@@ -91,41 +146,61 @@ Tensor Lif::backward_step(const Tensor& grad_output) {
   ST_PROF_SCOPE("lif.bwd");
   ST_REQUIRE(!pre_cache_.empty(),
              "LIF backward without matching cached forward step");
-  Tensor u_pre = std::move(pre_cache_.back());
+  const Tensor u_pre = std::move(pre_cache_.back());
   pre_cache_.pop_back();
   ST_REQUIRE(grad_output.same_shape(u_pre),
              "LIF backward gradient shape mismatch");
+  if (!has_grad_carry_ && !grad_carry_.same_shape(u_pre))
+    grad_carry_ = Tensor(u_pre.shape());
 
   const float beta = config_.beta;
   const float theta = config_.threshold;
   const Surrogate sg = config_.surrogate;
   const bool detach = config_.detach_reset;
+  const bool carry = has_grad_carry_;
 
   Tensor grad_input(u_pre.shape());
   float* gi = grad_input.data();
   const float* go = grad_output.data();
   const float* up = u_pre.data();
-  const float* carry = has_grad_carry_ ? grad_carry_.data() : nullptr;
-
+  float* c = grad_carry_.data();
   parallel_for(0, u_pre.numel(), kElemGrain,
                [&](std::int64_t b, std::int64_t e) {
-                 for (std::int64_t i = b; i < e; ++i) {
-                   const float c = carry ? carry[i] : 0.0f;
-                   const float spike_path =
-                       go[i] - (detach ? 0.0f : theta * c);
-                   gi[i] = c + spike_path * sg.grad(up[i] - theta);
+                 using Kind = Surrogate::Kind;
+                 const float scale = sg.scale();
+                 switch (sg.kind()) {
+                   case Kind::kArctan:
+                     lif_backward_kind<Kind::kArctan>(
+                         carry, detach, go, up, gi, c, b, e, beta, theta,
+                         scale);
+                     break;
+                   case Kind::kFastSigmoid:
+                     lif_backward_kind<Kind::kFastSigmoid>(
+                         carry, detach, go, up, gi, c, b, e, beta, theta,
+                         scale);
+                     break;
+                   case Kind::kSigmoid:
+                     lif_backward_kind<Kind::kSigmoid>(
+                         carry, detach, go, up, gi, c, b, e, beta, theta,
+                         scale);
+                     break;
+                   case Kind::kTriangular:
+                     lif_backward_kind<Kind::kTriangular>(
+                         carry, detach, go, up, gi, c, b, e, beta, theta,
+                         scale);
+                     break;
+                   case Kind::kBoxcar:
+                     lif_backward_kind<Kind::kBoxcar>(
+                         carry, detach, go, up, gi, c, b, e, beta, theta,
+                         scale);
+                     break;
+                   case Kind::kStraightThrough:
+                     lif_backward_kind<Kind::kStraightThrough>(
+                         carry, detach, go, up, gi, c, b, e, beta, theta,
+                         scale);
+                     break;
                  }
                });
-
-  // c[t-1] = beta * dL/du_pre[t]
-  grad_carry_ = grad_input;
-  {
-    float* gc = grad_carry_.data();
-    parallel_for(0, grad_carry_.numel(), kElemGrain,
-                 [&](std::int64_t b, std::int64_t e) {
-                   for (std::int64_t i = b; i < e; ++i) gc[i] *= beta;
-                 });
-  }
   has_grad_carry_ = true;
   return grad_input;
 }

@@ -53,10 +53,10 @@ class Lif final : public Layer {
  private:
   LifConfig config_;
   bool training_ = false;
-  Tensor membrane_;                 // u_post of the latest step
+  Tensor membrane_;                 // u_post of the latest step, in place
   bool has_membrane_ = false;
   std::vector<Tensor> pre_cache_;   // u_pre per step (training only)
-  Tensor grad_carry_;               // c[t] during the reverse sweep
+  Tensor grad_carry_;               // c[t] during the reverse sweep, in place
   bool has_grad_carry_ = false;
   std::int64_t window_spikes_ = 0;
   std::int64_t window_elements_ = 0;

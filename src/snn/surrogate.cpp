@@ -78,31 +78,4 @@ float Surrogate::forward(float v) const {
   return 0.0f;
 }
 
-float Surrogate::grad(float v) const {
-  switch (kind_) {
-    case Kind::kArctan: {
-      const float z = kPi * v * scale_ * 0.5f;
-      return (scale_ * 0.5f) / (1.0f + z * z);
-    }
-    case Kind::kFastSigmoid: {
-      const float d = 1.0f + scale_ * std::fabs(v);
-      return 1.0f / (d * d);
-    }
-    case Kind::kSigmoid: {
-      const float s = 1.0f / (1.0f + std::exp(-scale_ * v));
-      return scale_ * s * (1.0f - s);
-    }
-    case Kind::kTriangular: {
-      const float z = 1.0f - scale_ * std::fabs(v);
-      return z > 0.0f ? scale_ * z : 0.0f;
-    }
-    case Kind::kBoxcar: {
-      return std::fabs(v) < 1.0f / scale_ ? 0.5f * scale_ : 0.0f;
-    }
-    case Kind::kStraightThrough:
-      return 1.0f;
-  }
-  return 0.0f;
-}
-
 }  // namespace spiketune::snn

@@ -15,6 +15,7 @@
 // the derivative without virtual dispatch in the hot loop.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 namespace spiketune::snn {
@@ -51,10 +52,14 @@ class Surrogate {
   /// the spike forward pass always uses the exact Heaviside.
   float forward(float v) const;
 
-  /// Surrogate derivative dS/dv at v = U - theta.  Inlined switch; the
-  /// compiler hoists the branch out of elementwise loops because `kind_`
-  /// is loop-invariant.
-  float grad(float v) const;
+  /// Surrogate derivative dS/dv at v = U - theta.  Defined inline below.
+  inline float grad(float v) const;
+
+  /// grad() of a kind fixed at compile time, with `scale` as above: the
+  /// LIF backward loop instantiates it per kind, so the loop carries no
+  /// call or switch per element and can vectorize.
+  template <Kind K>
+  static inline float grad_of(float v, float scale);
 
  private:
   Surrogate(Kind kind, float scale);
@@ -62,5 +67,45 @@ class Surrogate {
   Kind kind_;
   float scale_;
 };
+
+template <Surrogate::Kind K>
+inline float Surrogate::grad_of(float v, float scale) {
+  constexpr float kPi = 3.14159265358979323846f;
+  if constexpr (K == Kind::kArctan) {
+    const float z = kPi * v * scale * 0.5f;
+    return (scale * 0.5f) / (1.0f + z * z);
+  } else if constexpr (K == Kind::kFastSigmoid) {
+    const float d = 1.0f + scale * std::fabs(v);
+    return 1.0f / (d * d);
+  } else if constexpr (K == Kind::kSigmoid) {
+    const float s = 1.0f / (1.0f + std::exp(-scale * v));
+    return scale * s * (1.0f - s);
+  } else if constexpr (K == Kind::kTriangular) {
+    const float z = 1.0f - scale * std::fabs(v);
+    return z > 0.0f ? scale * z : 0.0f;
+  } else if constexpr (K == Kind::kBoxcar) {
+    return std::fabs(v) < 1.0f / scale ? 0.5f * scale : 0.0f;
+  } else {
+    return 1.0f;
+  }
+}
+
+inline float Surrogate::grad(float v) const {
+  switch (kind_) {
+    case Kind::kArctan:
+      return grad_of<Kind::kArctan>(v, scale_);
+    case Kind::kFastSigmoid:
+      return grad_of<Kind::kFastSigmoid>(v, scale_);
+    case Kind::kSigmoid:
+      return grad_of<Kind::kSigmoid>(v, scale_);
+    case Kind::kTriangular:
+      return grad_of<Kind::kTriangular>(v, scale_);
+    case Kind::kBoxcar:
+      return grad_of<Kind::kBoxcar>(v, scale_);
+    case Kind::kStraightThrough:
+      return grad_of<Kind::kStraightThrough>(v, scale_);
+  }
+  return 0.0f;
+}
 
 }  // namespace spiketune::snn

@@ -153,8 +153,12 @@ snn::SpikeRecord check_parity(snn::SpikingNetwork& net,
       } else {
         first = got;
       }
-      if (crossover >= 1.0) EXPECT_EQ(got.dense_dispatches, 0);
-      if (crossover < 0.0) EXPECT_EQ(got.sparse_dispatches, 0);
+      if (crossover >= 1.0) {
+        EXPECT_EQ(got.dense_dispatches, 0);
+      }
+      if (crossover < 0.0) {
+        EXPECT_EQ(got.sparse_dispatches, 0);
+      }
       EXPECT_GE(got.mean_input_density, 0.0);
       EXPECT_LE(got.mean_input_density, 1.0);
     }
@@ -176,8 +180,11 @@ void expect_kernels_agree_on_membranes(snn::SpikingNetwork& net,
 
 // Parity through a silent layer proves little about the layers after it.
 void expect_every_lif_fires(const snn::SpikeRecord& record) {
-  for (const auto& layer : record.layers())
-    if (layer.layer_name == "lif") EXPECT_GT(layer.output_nonzeros, 0);
+  for (const auto& layer : record.layers()) {
+    if (layer.layer_name == "lif") {
+      EXPECT_GT(layer.output_nonzeros, 0);
+    }
+  }
 }
 
 TEST(InferParity, MlpMatchesDenseForwardAtBothDensities) {

@@ -2,14 +2,18 @@
 // gradient checks of every backward path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
 #include "snn/conv2d.h"
 #include "snn/linear.h"
 #include "snn/pool.h"
+#include "tensor/gemm.h"
 #include "tensor/gradcheck.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor_ops.h"
 
 namespace spiketune::snn {
@@ -320,6 +324,130 @@ TEST(Layers, ParamListArity) {
   EXPECT_EQ(fc.params().size(), 2u);
   MaxPool2d pool(2);
   EXPECT_TRUE(pool.params().empty());
+}
+
+// --- Conv2d kernels against im2col + GEMM ----------------------------------
+//
+// A test-local copy of the dense lowering every Conv2d path must equal bit
+// for bit: per sample im2col, gemm(W, cols) plus the bias; the weight
+// gradient gemm_nt(go, cols) accumulated in sample order; the bias gradient
+// as per-sample double sums; the input gradient gemm_tn(W, go) then col2im.
+
+struct ConvRef {
+  std::vector<Tensor> outputs;  // per forward step
+  std::vector<Tensor> grad_inputs;  // per backward step, last step first
+  Tensor weight_grad;
+  Tensor bias_grad;
+};
+
+ConvRef im2col_reference(const Conv2d& conv, const std::vector<Tensor>& xs,
+                         const std::vector<Tensor>& gos) {
+  const Conv2dConfig& cfg = conv.config();
+  const Shape& in = xs.front().shape();
+  const ConvGeom g{in[1], in[2], in[3], cfg.kernel, cfg.kernel,
+                   cfg.pad,  cfg.pad, 1,    1};
+  const std::int64_t n = in[0];
+  const std::int64_t ocn = cfg.out_channels;
+  const std::int64_t kk = g.col_rows();
+  const std::int64_t sp = g.col_cols();
+  const std::int64_t in_stride = in[1] * in[2] * in[3];
+  const float* w = conv.weight().value.data();
+  const float* b = conv.bias().value.data();
+  std::vector<float> cols(static_cast<std::size_t>(kk * sp));
+  ConvRef r;
+  for (const Tensor& x : xs) {
+    Tensor out(Shape{n, ocn, g.out_h(), g.out_w()});
+    for (std::int64_t i = 0; i < n; ++i) {
+      im2col(g, x.data() + i * in_stride, cols.data());
+      float* o = out.data() + i * ocn * sp;
+      gemm(ocn, sp, kk, 1.0f, w, cols.data(), 0.0f, o);
+      for (std::int64_t oc = 0; oc < ocn; ++oc)
+        for (std::int64_t s = 0; s < sp; ++s) o[oc * sp + s] += b[oc];
+    }
+    r.outputs.push_back(std::move(out));
+  }
+  r.weight_grad = Tensor(conv.weight().value.shape());
+  r.bias_grad = Tensor(Shape{ocn});
+  std::vector<float> grad_cols(cols.size());
+  for (std::size_t t = xs.size(); t-- > 0;) {
+    Tensor gin(in);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* go = gos[t].data() + i * ocn * sp;
+      im2col(g, xs[t].data() + i * in_stride, cols.data());
+      gemm_nt(ocn, kk, sp, 1.0f, go, cols.data(), 1.0f,
+              r.weight_grad.data());
+      gemm_tn(kk, sp, ocn, 1.0f, w, go, 0.0f, grad_cols.data());
+      col2im(g, grad_cols.data(), gin.data() + i * in_stride);
+      for (std::int64_t oc = 0; oc < ocn; ++oc) {
+        double acc = 0.0;
+        for (std::int64_t s = 0; s < sp; ++s) acc += go[oc * sp + s];
+        r.bias_grad[oc] += static_cast<float>(acc);
+      }
+    }
+    r.grad_inputs.push_back(std::move(gin));
+  }
+  return r;
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Binary spikes at `density` (0 and 1 are exact), or dense uniform values
+// when density is 1.
+Tensor spike_input(const Shape& shape, double density, Rng& rng) {
+  if (density >= 1.0) return Tensor::uniform(shape, rng, -1.0f, 1.0f);
+  Tensor x(shape);
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = rng.uniform() < density ? 1.0f : 0.0f;
+  return x;
+}
+
+// Runs a 3-step window through `conv` and the reference; `repeat` feeds
+// step 0's input at every step.
+void expect_conv_matches_reference(std::int64_t pad, double density,
+                                   bool repeat) {
+  SCOPED_TRACE(testing::Message() << "pad " << pad << " density "
+                                  << density << " repeat " << repeat);
+  Rng rng(static_cast<std::uint64_t>(31 + pad * 7 + density * 100));
+  Conv2d conv(Conv2dConfig{4, 6, 3, pad}, rng);
+  const Shape in{3, 4, 9, 7};  // odd, non-square image
+  const Shape out{3, 6, 9 + 2 * pad - 2, 7 + 2 * pad - 2};
+  std::vector<Tensor> xs, gos;
+  for (int t = 0; t < 3; ++t) {
+    xs.push_back(repeat && t > 0 ? xs.front() : spike_input(in, density, rng));
+    gos.push_back(Tensor::uniform(out, rng, -1.0f, 1.0f));
+  }
+  const ConvRef want = im2col_reference(conv, xs, gos);
+
+  conv.zero_grad();
+  conv.begin_window(in[0], true);
+  for (std::size_t t = 0; t < xs.size(); ++t)
+    EXPECT_TRUE(bits_equal(conv.forward_step(xs[t]), want.outputs[t]))
+        << "output, step " << t;
+  for (std::size_t k = 0; k < xs.size(); ++k)
+    EXPECT_TRUE(bits_equal(conv.backward_step(gos[xs.size() - 1 - k]),
+                           want.grad_inputs[k]))
+        << "input grad, step " << xs.size() - 1 - k;
+  EXPECT_TRUE(bits_equal(conv.weight().grad, want.weight_grad));
+  EXPECT_TRUE(bits_equal(conv.bias().grad, want.bias_grad));
+}
+
+TEST(Conv2d, SparseDispatchMatchesIm2colGemmBitwise) {
+  // Density 0 and 0.1 take the spike-index kernels, 1.0 im2col + GEMM.
+  for (std::int64_t pad : {0, 1})
+    for (double density : {0.0, 0.1, 1.0})
+      expect_conv_matches_reference(pad, density, /*repeat=*/false);
+}
+
+TEST(Conv2d, RepeatedStepInputMatchesRecompute) {
+  // Direct coding: one input at every step.  The reused output and cached
+  // columns must give what recomputing every step gives.
+  for (std::int64_t pad : {0, 1})
+    for (double density : {0.1, 1.0})
+      expect_conv_matches_reference(pad, density, /*repeat=*/true);
 }
 
 }  // namespace

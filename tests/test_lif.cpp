@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/error.h"
+#include "core/rng.h"
 #include "snn/lif.h"
 #include "tensor/gradcheck.h"
 #include "tensor/tensor_ops.h"
@@ -229,6 +232,146 @@ TEST(Lif, SpikeAndElementCountsTrack) {
   lif.forward_step(batch);
   EXPECT_EQ(lif.window_spike_count(), 8);
   EXPECT_EQ(lif.window_element_count(), 16);
+}
+
+// --- Fused kernels against the unfused per-element formulas ---------------
+//
+// A test-local copy of the LIF as it was before the forward and backward
+// loops were fused: an out-of-line surrogate call per element, and separate
+// passes for the decay, the spike/reset and the carry's beta scaling.  Each
+// float expression is written as one statement, so FMA contraction fuses
+// exactly what it fused in that code.
+
+[[gnu::noinline]] float unfused_grad(Surrogate::Kind kind, float scale,
+                                     float v) {
+  constexpr float kPi = 3.14159265358979323846f;
+  switch (kind) {
+    case Surrogate::Kind::kArctan: {
+      const float z = kPi * v * scale * 0.5f;
+      return (scale * 0.5f) / (1.0f + z * z);
+    }
+    case Surrogate::Kind::kFastSigmoid: {
+      const float d = 1.0f + scale * std::fabs(v);
+      return 1.0f / (d * d);
+    }
+    case Surrogate::Kind::kSigmoid: {
+      const float s = 1.0f / (1.0f + std::exp(-scale * v));
+      return scale * s * (1.0f - s);
+    }
+    case Surrogate::Kind::kTriangular: {
+      const float z = 1.0f - scale * std::fabs(v);
+      return z > 0.0f ? scale * z : 0.0f;
+    }
+    case Surrogate::Kind::kBoxcar:
+      return std::fabs(v) < 1.0f / scale ? 0.5f * scale : 0.0f;
+    case Surrogate::Kind::kStraightThrough:
+      return 1.0f;
+  }
+  return 0.0f;
+}
+
+struct UnfusedWindow {
+  std::vector<std::vector<float>> spikes;  // per step
+  std::vector<std::vector<float>> grads;   // per step, in backward order
+  std::int64_t fired = 0;
+};
+
+UnfusedWindow unfused_window(const LifConfig& cfg,
+                             const std::vector<std::vector<float>>& in,
+                             const std::vector<std::vector<float>>& go) {
+  const float beta = cfg.beta;
+  const float theta = cfg.threshold;
+  const std::size_t n = in.front().size();
+  UnfusedWindow w;
+  std::vector<std::vector<float>> pre_cache;
+  std::vector<float> membrane;
+  for (const auto& x : in) {
+    std::vector<float> u_pre = x;
+    if (!membrane.empty())
+      for (std::size_t i = 0; i < n; ++i) u_pre[i] += beta * membrane[i];
+    std::vector<float> spikes(n);
+    std::vector<float> u_post = u_pre;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool fire = u_pre[i] > theta;
+      spikes[i] = fire ? 1.0f : 0.0f;
+      if (fire) {
+        u_post[i] -= theta;
+        ++w.fired;
+      }
+    }
+    membrane = u_post;
+    pre_cache.push_back(u_pre);
+    w.spikes.push_back(spikes);
+  }
+  std::vector<float> carry;
+  for (std::size_t t = in.size(); t-- > 0;) {
+    const std::vector<float>& up = pre_cache[t];
+    std::vector<float> gi(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float c = carry.empty() ? 0.0f : carry[i];
+      float spike_path = go[t][i];
+      if (!cfg.detach_reset) spike_path = go[t][i] - theta * c;
+      const float sg =
+          unfused_grad(cfg.surrogate.kind(), cfg.surrogate.scale(),
+                       up[i] - theta);
+      gi[i] = c + spike_path * sg;
+    }
+    carry = gi;
+    for (std::size_t i = 0; i < n; ++i) carry[i] *= beta;
+    w.grads.push_back(gi);
+  }
+  return w;
+}
+
+bool same_bits(const Tensor& t, const std::vector<float>& v) {
+  return t.numel() == static_cast<std::int64_t>(v.size()) &&
+         std::memcmp(t.data(), v.data(), v.size() * sizeof(float)) == 0;
+}
+
+TEST(Lif, FusedKernelsMatchUnfusedFormulasBitwise) {
+  // An odd element count (no vector width divides it), 4 steps, inputs
+  // that straddle theta so every surrogate sees both sides.
+  constexpr std::int64_t kElems = 2467;
+  constexpr std::size_t kSteps = 4;
+  const Surrogate kinds[] = {
+      Surrogate::arctan(2.0f),     Surrogate::fast_sigmoid(0.25f),
+      Surrogate::sigmoid(1.5f),    Surrogate::triangular(1.0f),
+      Surrogate::boxcar(2.0f),     Surrogate::straight_through()};
+  Rng rng(41);
+  std::vector<std::vector<float>> in, go;
+  for (std::size_t t = 0; t < kSteps; ++t) {
+    const Tensor x = Tensor::uniform(Shape{kElems}, rng, -1.0f, 2.0f);
+    const Tensor g = Tensor::uniform(Shape{kElems}, rng, -1.0f, 1.0f);
+    in.emplace_back(x.data(), x.data() + kElems);
+    go.emplace_back(g.data(), g.data() + kElems);
+  }
+  for (const Surrogate& sg : kinds) {
+    for (bool detach : {false, true}) {
+      LifConfig cfg = config(0.6f, 0.9f, sg);
+      cfg.detach_reset = detach;
+      const UnfusedWindow want = unfused_window(cfg, in, go);
+      ASSERT_GT(want.fired, 0);
+
+      Lif lif(cfg);
+      lif.begin_window(1, true);
+      for (std::size_t t = 0; t < kSteps; ++t) {
+        const Tensor s =
+            lif.forward_step(Tensor(Shape{1, kElems}, in[t]));
+        EXPECT_TRUE(same_bits(s, want.spikes[t]))
+            << sg.name() << " detach=" << detach << " step " << t;
+      }
+      EXPECT_EQ(lif.window_spike_count(), want.fired) << sg.name();
+      EXPECT_EQ(lif.window_element_count(),
+                static_cast<std::int64_t>(kSteps) * kElems);
+      lif.begin_backward();
+      for (std::size_t k = 0; k < kSteps; ++k) {
+        const std::size_t t = kSteps - 1 - k;
+        const Tensor g = lif.backward_step(Tensor(Shape{1, kElems}, go[t]));
+        EXPECT_TRUE(same_bits(g, want.grads[k]))
+            << sg.name() << " detach=" << detach << " step " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -240,12 +240,19 @@ struct ConvRun {
   Tensor bias_grad;
 };
 
-ConvRun run_conv(int threads) {
+// `spikes` feeds binary spikes at density 0.1, which take the spike-index
+// kernels, to a conv with enough output channels that the weight gradient
+// splits across threads; otherwise dense values take im2col + GEMM.
+ConvRun run_conv(int threads, bool spikes) {
   set_num_threads(threads);
   Rng rng(15);
-  snn::Conv2d conv(snn::Conv2dConfig{3, 7, 3, 1}, rng);
+  const std::int64_t oc = spikes ? 19 : 7;
+  snn::Conv2d conv(snn::Conv2dConfig{3, oc, 3, 1}, rng);
   Tensor x = Tensor::uniform(Shape{5, 3, 9, 11}, rng, -1.0f, 1.0f);
-  Tensor go = Tensor::uniform(Shape{5, 7, 9, 11}, rng, -1.0f, 1.0f);
+  if (spikes)
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+      x[i] = rng.uniform() < 0.1 ? 1.0f : 0.0f;
+  Tensor go = Tensor::uniform(Shape{5, oc, 9, 11}, rng, -1.0f, 1.0f);
   conv.begin_window(5, true);
   ConvRun r;
   r.output = conv.forward_step(x);
@@ -257,16 +264,19 @@ ConvRun run_conv(int threads) {
 
 TEST(ThreadedKernels, ConvForwardBackwardBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
-  const ConvRun serial = run_conv(1);
-  for (int threads : {2, 5}) {
-    const ConvRun t = run_conv(threads);
-    EXPECT_TRUE(bit_equal(serial.output, t.output)) << "threads=" << threads;
-    EXPECT_TRUE(bit_equal(serial.grad_input, t.grad_input))
-        << "threads=" << threads;
-    EXPECT_TRUE(bit_equal(serial.weight_grad, t.weight_grad))
-        << "threads=" << threads;
-    EXPECT_TRUE(bit_equal(serial.bias_grad, t.bias_grad))
-        << "threads=" << threads;
+  for (bool spikes : {false, true}) {
+    const ConvRun serial = run_conv(1, spikes);
+    for (int threads : {2, 5}) {
+      const ConvRun t = run_conv(threads, spikes);
+      EXPECT_TRUE(bit_equal(serial.output, t.output))
+          << "threads=" << threads << " spikes=" << spikes;
+      EXPECT_TRUE(bit_equal(serial.grad_input, t.grad_input))
+          << "threads=" << threads << " spikes=" << spikes;
+      EXPECT_TRUE(bit_equal(serial.weight_grad, t.weight_grad))
+          << "threads=" << threads << " spikes=" << spikes;
+      EXPECT_TRUE(bit_equal(serial.bias_grad, t.bias_grad))
+          << "threads=" << threads << " spikes=" << spikes;
+    }
   }
 }
 
