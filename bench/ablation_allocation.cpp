@@ -67,8 +67,10 @@ int main(int argc, char** argv) {
     if (policy == hw::AllocationPolicy::kBalanced)
       balanced_fps = perf.throughput_fps;
     std::string split;
-    for (std::size_t i = 0; i < alloc.pes_per_layer.size(); ++i)
-      split += (i ? "/" : "") + std::to_string(alloc.pes_per_layer[i]);
+    for (std::size_t i = 0; i < alloc.pes_per_layer.size(); ++i) {
+      if (i > 0) split += '/';
+      split += std::to_string(alloc.pes_per_layer[i]);
+    }
     table.add_row({hw::policy_name(policy), fmt_f(perf.stage_cycles, 0),
                    fmt_f(perf.latency_s * 1e6, 1) + "us",
                    fmt_f(perf.throughput_fps, 0),

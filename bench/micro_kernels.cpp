@@ -1,24 +1,31 @@
 // MICRO — google-benchmark suite for the hot kernels underpinning training,
 // inference and simulation: GEMM variants (square, and at the csnn training
 // shapes), im2col, conv forward/backward, the LIF step, one LIF training
-// window and one spike-sparse conv training step, spike encoders, the
-// end-to-end CSNN timestep, one streaming inference step, and the hardware
-// models (allocator, analytic analysis, event-sim tick).
+// window, one spike-sparse conv training step, one whole csnn training
+// step (loader to optimizer), spike encoders, the end-to-end CSNN
+// timestep, one streaming inference step, and the hardware models
+// (allocator, analytic analysis, event-sim tick).
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "data/dataloader.h"
 #include "data/encoders.h"
+#include "data/synth_svhn.h"
 #include "hw/event_sim.h"
 #include "hw/perf_model.h"
 #include "infer/session.h"
 #include "snn/conv2d.h"
 #include "snn/lif.h"
+#include "snn/loss.h"
 #include "snn/model_zoo.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "train/optimizer.h"
 
 using namespace spiketune;
 
@@ -47,6 +54,13 @@ class ThreadsArg {
 };
 
 const std::vector<std::int64_t> kThreadCounts{1, 2, 4};
+
+// Minor page faults of this process so far.
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
 
 void BM_Gemm(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -162,7 +176,7 @@ void BM_ConvForward(benchmark::State& state) {
     // A fresh window each time: within one, a repeated input reuses the
     // previous step's output instead of convolving.
     conv.begin_window(8, false);
-    Tensor y = conv.forward_step(x);
+    const Tensor& y = conv.forward_step(x);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -184,7 +198,7 @@ void BM_ConvBackward(benchmark::State& state) {
     conv.begin_window(8, true);
     conv.forward_step(x);
     state.ResumeTiming();
-    Tensor gx = conv.backward_step(g);
+    const Tensor& gx = conv.backward_step(g);
     benchmark::DoNotOptimize(gx.data());
   }
 }
@@ -201,7 +215,7 @@ void BM_LifStep(benchmark::State& state) {
   Tensor x = Tensor::uniform(Shape{1, n}, rng, 0.0f, 2.0f);
   lif.begin_window(1, false);
   for (auto _ : state) {
-    Tensor s = lif.forward_step(x);
+    const Tensor& s = lif.forward_step(x);
     benchmark::DoNotOptimize(s.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -229,12 +243,12 @@ void BM_LifWindowTrain(benchmark::State& state) {
   for (auto _ : state) {
     lif.begin_window(shape[0], true);
     for (const Tensor& x : inputs) {
-      Tensor s = lif.forward_step(x);
+      const Tensor& s = lif.forward_step(x);
       benchmark::DoNotOptimize(s.data());
     }
     lif.begin_backward();
     for (int t = kSteps - 1; t >= 0; --t) {
-      Tensor g = lif.backward_step(grads[static_cast<std::size_t>(t)]);
+      const Tensor& g = lif.backward_step(grads[static_cast<std::size_t>(t)]);
       benchmark::DoNotOptimize(g.data());
     }
   }
@@ -255,14 +269,65 @@ void BM_ConvTrainStep(benchmark::State& state) {
   const Tensor g = Tensor::uniform(Shape{kBatch, 32, 5, 5}, rng, -1.0f, 1.0f);
   for (auto _ : state) {
     conv.begin_window(kBatch, true);
-    Tensor y = conv.forward_step(x);
-    Tensor gx = conv.backward_step(g);
-    benchmark::DoNotOptimize(y.data());
-    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(conv.forward_step(x).data());
+    benchmark::DoNotOptimize(conv.backward_step(g).data());
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_ConvTrainStep)->UseRealTime();
+
+void BM_TrainStepCsnn(benchmark::State& state) {
+  // One training step of perfbench's train_epoch, one thread, as
+  // Trainer::train_epoch runs it: the next shuffled SynthSvhn batch
+  // (16x16, normalized, batch 32), direct coding over 8 steps, the csnn
+  // with the fast-sigmoid(0.25) surrogate forward with training caches,
+  // the rate loss, BPTT and an Adam step.  minflt/iter is the minor page
+  // faults per step after one warm-up step (getrusage).  The loader,
+  // encoder and optimizer are in the loop because their allocations,
+  // interleaved with the network's, are what kept glibc trimming and
+  // re-growing the heap when the layers allocated per step; forward and
+  // backward alone settle without faults.
+  constexpr std::int64_t kBatch = 32;
+  constexpr std::int64_t kSteps = 8;
+  const auto splits = data::make_synth_svhn_splits(256, kBatch, 16, 1);
+  auto raw = std::make_shared<data::InMemoryDataset>(
+      data::InMemoryDataset::from(splits.train));
+  const auto means = data::channel_means(*raw);
+  auto train = std::make_shared<data::NormalizedDataset>(
+      raw, means, std::vector<float>(means.size(), 0.25f));
+  data::DataLoader loader(train, kBatch, /*shuffle=*/true, 1);
+  snn::CsnnConfig cfg;
+  cfg.image_size = 16;
+  cfg.lif.surrogate = snn::Surrogate::fast_sigmoid(0.25f);
+  auto net = snn::make_svhn_csnn(cfg);
+  const auto encoder = data::make_encoder("direct", 1);
+  const snn::RateCrossEntropyLoss loss(static_cast<double>(kSteps));
+  train::Adam adam(net->params(), 5e-3);
+  data::Batch batch;
+  std::int64_t epoch = 0;
+  std::uint64_t stream = 0;
+  loader.start_epoch(epoch);
+  auto step = [&] {
+    if (!loader.next(batch)) {
+      loader.start_epoch(++epoch);
+      loader.next(batch);
+    }
+    const auto steps = encoder->encode(batch.images, kSteps, stream++);
+    net->zero_grad();
+    const auto out = net->forward(steps, {.training = true});
+    net->backward(loss.compute(out.spike_counts, batch.labels).grad_counts);
+    adam.step();
+    benchmark::DoNotOptimize(out.spike_counts.data());
+  };
+  step();
+  const long faults = minor_faults();
+  for (auto _ : state) step();
+  state.counters["minflt/iter"] =
+      benchmark::Counter(static_cast<double>(minor_faults() - faults),
+                         benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_TrainStepCsnn)->UseRealTime();
 
 void BM_RateEncode(benchmark::State& state) {
   data::RateEncoder enc(7);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     std::vector<hw::LayerWorkload> ws;
     for (std::uint64_t l = 0; l < layers; ++l) {
       hw::LayerWorkload w;
-      w.name = "l" + std::to_string(l);
+      w.name = 'l' + std::to_string(l);
       w.input_size = static_cast<std::int64_t>(64 + rng.uniform_int(4096));
       w.fanout = static_cast<std::int64_t>(8 + rng.uniform_int(512));
       w.neurons = static_cast<std::int64_t>(16 + rng.uniform_int(4096));

@@ -36,7 +36,7 @@ struct InferOptions {
   std::int64_t max_live_streams = 4096;
   /// Where evicted / drained stream state is checkpointed.  Empty disables
   /// spilling: beyond max_live_streams, opening another stream fails.
-  std::string stream_checkpoint_dir;
+  std::string stream_checkpoint_dir{};
 };
 
 }  // namespace spiketune::infer

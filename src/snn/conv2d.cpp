@@ -42,16 +42,9 @@ ConvGeom Conv2d::geom_for(const Shape& input) const {
 void Conv2d::begin_window(std::int64_t, bool training) {
   training_ = training;
   weight_t_stale_ = true;
-  inputs_.clear();
+  num_inputs_ = 0;
   step_inputs_.clear();
   cols_valid_ = false;
-}
-
-void Conv2d::release_window_buffers() {
-  last_output_ = Tensor();
-  std::vector<std::int32_t>().swap(idx_);
-  std::vector<float>().swap(cols_);
-  std::vector<float>().swap(go_t_);
 }
 
 bool Conv2d::index_inputs(const ConvGeom& g, const Tensor& x) {
@@ -73,17 +66,20 @@ bool Conv2d::index_inputs(const ConvGeom& g, const Tensor& x) {
          kDefaultSparseCrossover;
 }
 
-Tensor Conv2d::forward_step(const Tensor& input) {
+const Tensor& Conv2d::forward_step(const Tensor& input) {
   ST_PROF_SCOPE("conv2d.fwd");
   const ConvGeom g = geom_for(input.shape());
   // Direct coding feeds the same image at every step: a step whose input
-  // is bitwise the previous one's has that step's output.
-  if (!inputs_.empty() && inputs_.back().x.same_shape(input) &&
-      std::memcmp(inputs_.back().x.data(), input.data(),
-                  static_cast<std::size_t>(input.numel()) * sizeof(float)) ==
-          0) {
-    if (training_) step_inputs_.push_back(inputs_.size() - 1);
-    return last_output_;
+  // is bitwise the previous one's has that step's output, still in kOut.
+  if (num_inputs_ > 0) {
+    const Tensor& last = buffers_.at(kInput + num_inputs_ - 1);
+    if (last.same_shape(input) &&
+        std::memcmp(last.data(), input.data(),
+                    static_cast<std::size_t>(input.numel()) * sizeof(float)) ==
+            0) {
+      if (training_) step_inputs_.push_back(num_inputs_ - 1);
+      return buffers_.at(kOut);
+    }
   }
 
   const std::int64_t n = input.shape()[0];
@@ -92,33 +88,38 @@ Tensor Conv2d::forward_step(const Tensor& input) {
   const std::int64_t spatial = g.col_cols();
   const bool sparse = index_inputs(g, input);
   if (sparse && weight_t_stale_) {
-    weight_t_ = Tensor(Shape{kk, ocn});
     const float* w = weight_.value.data();
-    float* wt = weight_t_.data();
+    float* wt = buffers_.get(kWeightT, Shape{kk, ocn}).data();
     for (std::int64_t oc = 0; oc < ocn; ++oc)
       for (std::int64_t p = 0; p < kk; ++p) wt[p * ocn + oc] = w[oc * kk + p];
     weight_t_stale_ = false;
   }
 
-  Tensor output(Shape{n, ocn, g.out_h(), g.out_w()});
+  // Both kernels write every output element.
+  Tensor& output = buffers_.get(kOut, Shape{n, ocn, g.out_h(), g.out_w()});
   const std::int64_t in_stride = g.channels * g.height * g.width;
   const std::int64_t out_stride = ocn * spatial;
   const float* b = config_.bias ? bias_.value.data() : nullptr;
+  const float* wt = sparse ? buffers_.at(kWeightT).data() : nullptr;
+  const std::size_t scratch =
+      static_cast<std::size_t>((sparse ? ocn : kk) * spatial);
   // The forward pass has no cross-sample reductions, so the batch splits
-  // across threads with one scratch buffer per slice; each sample writes
-  // its own output block.  (With a single-sample batch the slice runs
-  // inline and the im2col/gemm kernels parallelize internally.)
+  // across threads, each with its own scratch; each sample writes its own
+  // output block.  (With a single-sample batch the slice runs inline and
+  // the im2col/gemm kernels parallelize internally.)
   parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    std::vector<float> buf(
-        static_cast<std::size_t>((sparse ? ocn : kk) * spatial));
+    // One sample's columns or channel-last scatter.  It outlives the call,
+    // growing to the largest conv the thread has run, so a warm step
+    // allocates nothing; both kernels overwrite what they read.
+    thread_local std::vector<float> buf;
+    if (buf.size() < scratch) buf.resize(scratch);
     for (std::int64_t i = sb; i < se; ++i) {
       const float* x = input.data() + i * in_stride;
       float* out = output.data() + i * out_stride;
       if (sparse) {
         // [spatial, OC] scatter, then out[oc, s] = pre[s, oc] + bias[oc]:
         // the dense path's one bias add per element.
-        conv_scatter(g, ocn, weight_t_.data(), x,
-                     idx_.data() + i * in_stride,
+        conv_scatter(g, ocn, wt, x, idx_.data() + i * in_stride,
                      count_[static_cast<std::size_t>(i)], buf.data());
         for (std::int64_t oc = 0; oc < ocn; ++oc) {
           float* plane = out + oc * spatial;
@@ -144,15 +145,20 @@ Tensor Conv2d::forward_step(const Tensor& input) {
     }
   });
 
-  if (!training_) inputs_.clear();
-  inputs_.push_back(StepInput{input, sparse});
-  if (training_) step_inputs_.push_back(inputs_.size() - 1);
-  last_output_ = output;
+  if (!training_) num_inputs_ = 0;
+  const std::size_t j = num_inputs_++;
+  Tensor& kept = buffers_.get(kInput + j, input.shape());
+  std::memcpy(kept.data(), input.data(),
+              static_cast<std::size_t>(input.numel()) * sizeof(float));
+  if (input_sparse_.size() <= j) input_sparse_.resize(j + 1);
+  input_sparse_[j] = sparse;
+  if (training_) step_inputs_.push_back(j);
   return output;
 }
 
-Tensor Conv2d::backward_step(const Tensor& grad_output) {
-  return backward(grad_output, true);
+const Tensor& Conv2d::backward_step(const Tensor& grad_output) {
+  backward(grad_output, true);
+  return buffers_.at(kGradIn);
 }
 
 void Conv2d::backward_step_params(const Tensor& grad_output) {
@@ -166,10 +172,9 @@ void Conv2d::sparse_weight_grad(const ConvGeom& g, const Tensor& x,
   const std::int64_t kk = g.col_rows();
   const std::int64_t spatial = g.col_cols();
   const std::int64_t in_stride = g.channels * g.height * g.width;
-  go_t_.resize(static_cast<std::size_t>(n * spatial * ocn));
-  grad_t_.resize(static_cast<std::size_t>(kk * ocn));
-  float* go_t = go_t_.data();
-  float* gt = grad_t_.data();
+  // Both are written in full before they are read.
+  float* go_t = buffers_.get(kGoT, Shape{n, spatial, ocn}).data();
+  float* gt = buffers_.get(kGradT, Shape{kk, ocn}).data();
   float* gw = weight_.grad.data();
   // Channel-last output gradient per sample, and the gradient as [K, OC],
   // so the gather's inner loop runs over contiguous output channels.
@@ -198,18 +203,17 @@ void Conv2d::sparse_weight_grad(const ConvGeom& g, const Tensor& x,
     for (std::int64_t p = 0; p < kk; ++p) gw[oc * kk + p] = gt[p * ocn + oc];
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
+void Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   ST_PROF_SCOPE("conv2d.bwd");
   ST_REQUIRE(!step_inputs_.empty(),
              "conv backward without matching cached forward step");
   const std::size_t slot = step_inputs_.back();
   step_inputs_.pop_back();
-  ST_ASSERT(slot + 1 == inputs_.size(), "conv step inputs out of order");
+  ST_ASSERT(slot + 1 == num_inputs_, "conv step inputs out of order");
   // Steps that read one input are adjacent; it stays cached while an
   // earlier step still reads it.
   const bool shared = !step_inputs_.empty() && step_inputs_.back() == slot;
-  const StepInput& in = inputs_[slot];
-  const Tensor& input = in.x;
+  const Tensor& input = buffers_.at(kInput + slot);
 
   const ConvGeom g = geom_for(input.shape());
   const std::int64_t n = input.shape()[0];
@@ -225,41 +229,45 @@ Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
 
   // Weight gradient: gW[OC, K] += go[OC, OHW] * cols[K, OHW]^T per sample,
   // samples in batch order.
-  if (in.sparse) {
+  if (input_sparse_[slot]) {
     index_inputs(g, input);
     sparse_weight_grad(g, input, grad_output);
   } else {
-    // An input read by several steps is lowered once, for all of them.
+    // An input read by several steps is lowered once, for all of them;
+    // otherwise the slot holds one sample's columns at a time.  im2col
+    // writes every column element.
     if (shared && !cols_valid_) {
-      cols_.resize(static_cast<std::size_t>(n * col_stride));
+      float* cols = buffers_.get(kCols, Shape{n * col_stride}).data();
       for (std::int64_t i = 0; i < n; ++i)
-        im2col(g, input.data() + i * in_stride, cols_.data() + i * col_stride);
+        im2col(g, input.data() + i * in_stride, cols + i * col_stride);
       cols_valid_ = true;
     }
-    if (!cols_valid_)
-      cols_.resize(
-          std::max(cols_.size(), static_cast<std::size_t>(col_stride)));
+    float* cols = cols_valid_
+                      ? buffers_.get(kCols, Shape{n * col_stride}).data()
+                      : buffers_.get(kCols, Shape{col_stride}).data();
     // The sample loop stays serial to preserve the serial path's summation
     // order exactly; gemm_nt parallelizes internally over disjoint rows.
     for (std::int64_t i = 0; i < n; ++i) {
-      const float* cols = cols_.data();
+      const float* sample_cols = cols;
       if (cols_valid_)
-        cols += i * col_stride;
+        sample_cols += i * col_stride;
       else
-        im2col(g, input.data() + i * in_stride, cols_.data());
+        im2col(g, input.data() + i * in_stride, cols);
       gemm_nt(ocn, kk, spatial, 1.0f, grad_output.data() + i * out_stride,
-              cols, 1.0f, weight_.grad.data());
+              sample_cols, 1.0f, weight_.grad.data());
     }
   }
 
-  // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW], then col2im.
-  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
+  // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW], then col2im,
+  // which accumulates into a zeroed plane.
   if (input_grad) {
-    std::vector<float> grad_cols(static_cast<std::size_t>(col_stride));
+    float* grad_cols = buffers_.get(kGradCols, Shape{col_stride}).data();
+    Tensor& grad_input = buffers_.get(kGradIn, input.shape());
+    grad_input.fill(0.0f);
     for (std::int64_t i = 0; i < n; ++i) {
       gemm_tn(kk, spatial, ocn, 1.0f, weight_.value.data(),
-              grad_output.data() + i * out_stride, 0.0f, grad_cols.data());
-      col2im(g, grad_cols.data(), grad_input.data() + i * in_stride);
+              grad_output.data() + i * out_stride, 0.0f, grad_cols);
+      col2im(g, grad_cols, grad_input.data() + i * in_stride);
     }
   }
 
@@ -279,13 +287,9 @@ Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   }
 
   if (!shared) {
-    inputs_.pop_back();
+    --num_inputs_;
     cols_valid_ = false;
   }
-  // The window's backward is done: its scratch goes, so a trained network
-  // kept alive holds no per-window buffers.
-  if (step_inputs_.empty()) release_window_buffers();
-  return grad_input;
 }
 
 std::vector<Param*> Conv2d::params() {

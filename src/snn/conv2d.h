@@ -36,8 +36,8 @@ class Conv2d final : public Layer {
   Conv2d(Conv2dConfig config, Rng& rng);
 
   void begin_window(std::int64_t batch_size, bool training) override;
-  Tensor forward_step(const Tensor& input) override;
-  Tensor backward_step(const Tensor& grad_output) override;
+  const Tensor& forward_step(const Tensor& input) override;
+  const Tensor& backward_step(const Tensor& grad_output) override;
   void backward_step_params(const Tensor& grad_output) override;
 
   std::vector<Param*> params() override;
@@ -58,20 +58,29 @@ class Conv2d final : public Layer {
   }
 
  private:
-  // A distinct step input of the window and the kernel its steps take.
-  struct StepInput {
-    Tensor x;
-    bool sparse = false;
+  // Step buffer slots: the output; the input gradient; the [K, OC] weight
+  // copy the sparse scatter reads, refreshed once per window; the
+  // backward im2col columns; the sparse dW's [N, spatial, OC] output
+  // gradient and [K, OC] weight gradient; one sample's input-gradient
+  // columns; then the window's distinct step inputs, the j-th in slot
+  // kInput + j.
+  enum Slot : std::size_t {
+    kOut,
+    kGradIn,
+    kWeightT,
+    kCols,
+    kGoT,
+    kGradT,
+    kGradCols,
+    kInput
   };
 
   ConvGeom geom_for(const Shape& input) const;
   // Fills idx_/count_ with the per-sample index lists of `x` and returns
   // whether its batch-wide density takes the sparse kernels.
   bool index_inputs(const ConvGeom& g, const Tensor& x);
-  // Frees the scratch that lives only within a window.
-  void release_window_buffers();
   // One backward step; computes dL/d(input) only when `input_grad`.
-  Tensor backward(const Tensor& grad_output, bool input_grad);
+  void backward(const Tensor& grad_output, bool input_grad);
   // Weight gradient of one step from the index lists in idx_/count_.
   void sparse_weight_grad(const ConvGeom& g, const Tensor& x,
                           const Tensor& grad_output);
@@ -80,22 +89,20 @@ class Conv2d final : public Layer {
   Param weight_;
   Param bias_;
   bool training_ = false;
-  Tensor weight_t_;              // [K, OC] copy of the weight (sparse scatter)
-  bool weight_t_stale_ = true;   // refreshed at the window's first scatter
-  // Distinct step inputs, oldest first (training keeps the window's, a
-  // forward-only window just the latest), and per forward step the entry
-  // it read (training only).
-  std::vector<StepInput> inputs_;
+  bool weight_t_stale_ = true;   // kWeightT is refreshed at the first scatter
+  // The window's distinct step inputs live in slots kInput..kInput +
+  // num_inputs_ - 1, oldest first (training keeps the window's, a
+  // forward-only window just the latest); input_sparse_[j] is the kernel
+  // input j took.  step_inputs_ holds, per forward step, the input it read
+  // (training only).
+  std::size_t num_inputs_ = 0;
+  std::vector<bool> input_sparse_;
   std::vector<std::size_t> step_inputs_;
-  Tensor last_output_;           // output of the latest forward step
   std::vector<std::int32_t> idx_;     // per-sample index lists of one step
   std::vector<std::int64_t> count_;   // their lengths
-  // Backward im2col scratch; while cols_valid_, the columns of every
-  // sample of the newest inputs_ entry.
-  std::vector<float> cols_;
+  // While cols_valid_, kCols holds the im2col columns of every sample of
+  // the newest input.
   bool cols_valid_ = false;
-  std::vector<float> go_t_;      // sparse dW: [N, spatial, OC] output grad
-  std::vector<float> grad_t_;    // sparse dW: [K, OC] weight gradient
 };
 
 }  // namespace spiketune::snn

@@ -87,28 +87,28 @@ Lif::Lif(LifConfig config) : config_(config) {
 void Lif::begin_window(std::int64_t, bool training) {
   training_ = training;
   has_membrane_ = false;
-  pre_cache_.clear();
+  cached_steps_ = 0;
   has_grad_carry_ = false;
   window_spikes_ = 0;
   window_elements_ = 0;
 }
 
-Tensor Lif::forward_step(const Tensor& input) {
+const Tensor& Lif::forward_step(const Tensor& input) {
   ST_PROF_SCOPE("lif.fwd");
   const float beta = config_.beta;
   const float theta = config_.threshold;
   if (has_membrane_)
-    ST_REQUIRE(membrane_.same_shape(input),
+    ST_REQUIRE(buffers_.at(kState).same_shape(input),
                "LIF input shape changed mid-window");
-  else if (!membrane_.same_shape(input))
-    membrane_ = Tensor(input.shape());
-
+  // Every buffer below is written in full before it is read: the first
+  // step of a window writes the membrane without reading it.
+  float* m = buffers_.get(kState, input.shape()).data();
   float* pre = nullptr;
-  if (training_) pre = pre_cache_.emplace_back(input.shape()).data();
+  if (training_)
+    pre = buffers_.get(kPre + cached_steps_++, input.shape()).data();
+  Tensor& spikes = buffers_.get(kOut, input.shape());
 
-  Tensor spikes(input.shape());
   const float* in = input.data();
-  float* m = membrane_.data();
   float* sp = spikes.data();
   const bool carry = has_membrane_;
   // Disjoint elementwise writes; the spike tally is an integer sum, so
@@ -142,16 +142,13 @@ Tensor Lif::forward_step(const Tensor& input) {
 
 void Lif::begin_backward() { has_grad_carry_ = false; }
 
-Tensor Lif::backward_step(const Tensor& grad_output) {
+const Tensor& Lif::backward_step(const Tensor& grad_output) {
   ST_PROF_SCOPE("lif.bwd");
-  ST_REQUIRE(!pre_cache_.empty(),
+  ST_REQUIRE(cached_steps_ > 0,
              "LIF backward without matching cached forward step");
-  const Tensor u_pre = std::move(pre_cache_.back());
-  pre_cache_.pop_back();
+  const Tensor& u_pre = buffers_.at(kPre + --cached_steps_);
   ST_REQUIRE(grad_output.same_shape(u_pre),
              "LIF backward gradient shape mismatch");
-  if (!has_grad_carry_ && !grad_carry_.same_shape(u_pre))
-    grad_carry_ = Tensor(u_pre.shape());
 
   const float beta = config_.beta;
   const float theta = config_.threshold;
@@ -159,11 +156,13 @@ Tensor Lif::backward_step(const Tensor& grad_output) {
   const bool detach = config_.detach_reset;
   const bool carry = has_grad_carry_;
 
-  Tensor grad_input(u_pre.shape());
+  // The membrane is dead once the reverse sweep starts, so the carry
+  // takes its slot; the last step writes the carry before reading it.
+  float* c = buffers_.get(kState, u_pre.shape()).data();
+  Tensor& grad_input = buffers_.get(kOut, u_pre.shape());
   float* gi = grad_input.data();
   const float* go = grad_output.data();
   const float* up = u_pre.data();
-  float* c = grad_carry_.data();
   parallel_for(0, u_pre.numel(), kElemGrain,
                [&](std::int64_t b, std::int64_t e) {
                  using Kind = Surrogate::Kind;

@@ -36,9 +36,9 @@ class Lif final : public Layer {
   explicit Lif(LifConfig config);
 
   void begin_window(std::int64_t batch_size, bool training) override;
-  Tensor forward_step(const Tensor& input) override;
+  const Tensor& forward_step(const Tensor& input) override;
   void begin_backward() override;
-  Tensor backward_step(const Tensor& grad_output) override;
+  const Tensor& backward_step(const Tensor& grad_output) override;
 
   Shape output_shape(const Shape& input) const override { return input; }
   bool spiking() const override { return true; }
@@ -51,12 +51,16 @@ class Lif final : public Layer {
   std::int64_t window_element_count() const { return window_elements_; }
 
  private:
+  // Step buffer slots: the returned spikes or input gradient; the state
+  // updated in place, u_post of the latest step going forward and c[t]
+  // on the reverse sweep; then u_pre of step t in slot kPre + t (training
+  // only).
+  enum Slot : std::size_t { kOut, kState, kPre };
+
   LifConfig config_;
   bool training_ = false;
-  Tensor membrane_;                 // u_post of the latest step, in place
   bool has_membrane_ = false;
-  std::vector<Tensor> pre_cache_;   // u_pre per step (training only)
-  Tensor grad_carry_;               // c[t] during the reverse sweep, in place
+  std::size_t cached_steps_ = 0;    // u_pre slots not yet run backward
   bool has_grad_carry_ = false;
   std::int64_t window_spikes_ = 0;
   std::int64_t window_elements_ = 0;

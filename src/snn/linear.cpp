@@ -1,5 +1,7 @@
 #include "snn/linear.h"
 
+#include <algorithm>
+
 #include "core/error.h"
 #include "tensor/gemm.h"
 
@@ -22,16 +24,17 @@ Linear::Linear(LinearConfig config, Rng& rng)
 
 void Linear::begin_window(std::int64_t, bool training) {
   training_ = training;
-  input_cache_.clear();
+  cached_steps_ = 0;
 }
 
-Tensor Linear::forward_step(const Tensor& input) {
+const Tensor& Linear::forward_step(const Tensor& input) {
   const Shape& s = input.shape();
   ST_REQUIRE(s.rank() == 2 && s[1] == config_.in_features,
              "linear expects [N, in_features], got " + s.str());
   const std::int64_t n = s[0];
 
-  Tensor output(Shape{n, config_.out_features});
+  // gemm_nt with beta 0 writes every output element.
+  Tensor& output = buffers_.get(kOut, Shape{n, config_.out_features});
   // y[N, out] = x[N, in] * W[out, in]^T
   gemm_nt(n, config_.out_features, config_.in_features, 1.0f, input.data(),
           weight_.value.data(), 0.0f, output.data());
@@ -42,23 +45,26 @@ Tensor Linear::forward_step(const Tensor& input) {
       for (std::int64_t j = 0; j < config_.out_features; ++j)
         out[i * config_.out_features + j] += b[j];
   }
-  if (training_) input_cache_.push_back(input);
+  if (training_) {
+    Tensor& cached = buffers_.get(kInput + cached_steps_++, s);
+    std::copy(input.data(), input.data() + input.numel(), cached.data());
+  }
   return output;
 }
 
-Tensor Linear::backward_step(const Tensor& grad_output) {
-  return backward(grad_output, true);
+const Tensor& Linear::backward_step(const Tensor& grad_output) {
+  backward(grad_output, true);
+  return buffers_.at(kGradIn);
 }
 
 void Linear::backward_step_params(const Tensor& grad_output) {
   backward(grad_output, false);
 }
 
-Tensor Linear::backward(const Tensor& grad_output, bool input_grad) {
-  ST_REQUIRE(!input_cache_.empty(),
+void Linear::backward(const Tensor& grad_output, bool input_grad) {
+  ST_REQUIRE(cached_steps_ > 0,
              "linear backward without matching cached forward step");
-  Tensor input = std::move(input_cache_.back());
-  input_cache_.pop_back();
+  const Tensor& input = buffers_.at(kInput + --cached_steps_);
 
   const std::int64_t n = input.shape()[0];
   ST_REQUIRE(grad_output.shape() == Shape({n, config_.out_features}),
@@ -67,13 +73,11 @@ Tensor Linear::backward(const Tensor& grad_output, bool input_grad) {
   // gW[out, in] += go[N, out]^T * x[N, in]
   gemm_tn(config_.out_features, config_.in_features, n, 1.0f,
           grad_output.data(), input.data(), 1.0f, weight_.grad.data());
-  // gx[N, in] = go[N, out] * W[out, in]
-  Tensor grad_input;
-  if (input_grad) {
-    grad_input = Tensor(input.shape());
+  // gx[N, in] = go[N, out] * W[out, in]; beta 0 writes every element.
+  if (input_grad)
     gemm(n, config_.in_features, config_.out_features, 1.0f,
-         grad_output.data(), weight_.value.data(), 0.0f, grad_input.data());
-  }
+         grad_output.data(), weight_.value.data(), 0.0f,
+         buffers_.get(kGradIn, input.shape()).data());
   if (config_.bias) {
     float* gb = bias_.grad.data();
     const float* go = grad_output.data();
@@ -81,7 +85,6 @@ Tensor Linear::backward(const Tensor& grad_output, bool input_grad) {
       for (std::int64_t j = 0; j < config_.out_features; ++j)
         gb[j] += go[i * config_.out_features + j];
   }
-  return grad_input;
 }
 
 std::vector<Param*> Linear::params() {

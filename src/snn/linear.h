@@ -20,8 +20,8 @@ class Linear final : public Layer {
   Linear(LinearConfig config, Rng& rng);
 
   void begin_window(std::int64_t batch_size, bool training) override;
-  Tensor forward_step(const Tensor& input) override;
-  Tensor backward_step(const Tensor& grad_output) override;
+  const Tensor& forward_step(const Tensor& input) override;
+  const Tensor& backward_step(const Tensor& grad_output) override;
   void backward_step_params(const Tensor& grad_output) override;
 
   std::vector<Param*> params() override;
@@ -38,14 +38,18 @@ class Linear final : public Layer {
   std::int64_t fanout_per_spike() const { return config_.out_features; }
 
  private:
+  // Step buffer slots: the output, the input gradient, then the input of
+  // step t in slot kInput + t (training only).
+  enum Slot : std::size_t { kOut, kGradIn, kInput };
+
   // One backward step; computes dL/d(input) only when `input_grad`.
-  Tensor backward(const Tensor& grad_output, bool input_grad);
+  void backward(const Tensor& grad_output, bool input_grad);
 
   LinearConfig config_;
   Param weight_;
   Param bias_;
   bool training_ = false;
-  std::vector<Tensor> input_cache_;
+  std::size_t cached_steps_ = 0;  // input slots not yet run backward
 };
 
 }  // namespace spiketune::snn

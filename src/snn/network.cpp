@@ -34,32 +34,36 @@ ForwardResult SpikingNetwork::forward(const std::vector<Tensor>& step_inputs,
   for (const Tensor& input : step_inputs) {
     ST_REQUIRE(input.shape()[0] == batch,
                "all steps must share one batch size");
-    Tensor x = input;
+    // Each layer reads the buffer the layer before it returned.
+    const Tensor* x = &input;
     std::vector<std::int64_t> step_nz;
     if (options.record_step_nonzeros) step_nz.reserve(layers_.size());
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       std::int64_t in_nz = 0;
       std::int64_t in_total = 0;
       if (count_inputs) {
-        in_nz = ops::count_nonzero(x);
-        in_total = x.numel();
+        in_nz = ops::count_nonzero(*x);
+        in_total = x->numel();
       }
       if (options.record_step_nonzeros) step_nz.push_back(in_nz);
-      Tensor y = layers_[li]->forward_step(x);
+      const Tensor& y = layers_[li]->forward_step(*x);
       if (options.record_stats) {
         result.stats.add_step(li, in_nz, in_total, ops::count_nonzero(y),
                               y.numel());
       }
-      x = std::move(y);
+      x = &y;
     }
     if (options.record_step_nonzeros)
       result.step_input_nonzeros.push_back(std::move(step_nz));
-    ST_REQUIRE(x.shape().rank() == 2, "network output must be [N, features]");
+    ST_REQUIRE(x->shape().rank() == 2,
+               "network output must be [N, features]");
     if (result.spike_counts.numel() == 0)
-      result.spike_counts = Tensor(x.shape());
-    ops::add_(result.spike_counts, x);
+      result.spike_counts = Tensor(x->shape());
+    ops::add_(result.spike_counts, *x);
   }
   result.stats.note_window(result.timesteps, batch);
+  // A forward-only window is over: nothing reads its buffers again.
+  if (!options.training) park_window();
   return result;
 }
 
@@ -70,12 +74,18 @@ void SpikingNetwork::backward(const Tensor& grad_counts) {
   // Nothing reads the gradient w.r.t. the network input, so the first
   // layer is not asked for one.
   for (std::int64_t t = last_window_steps_ - 1; t >= 0; --t) {
-    Tensor g = grad_counts;
+    const Tensor* g = &grad_counts;
     for (std::size_t li = layers_.size(); li-- > 1;)
-      g = layers_[li]->backward_step(g);
-    layers_.front()->backward_step_params(g);
+      g = &layers_[li]->backward_step(*g);
+    layers_.front()->backward_step_params(*g);
   }
   last_window_steps_ = 0;
+  park_window();
+}
+
+void SpikingNetwork::park_window() {
+  StepBuffers::end_window();
+  for (auto& l : layers_) l->park_buffers();
 }
 
 std::vector<Param*> SpikingNetwork::params() {

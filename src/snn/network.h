@@ -77,6 +77,10 @@ class SpikingNetwork {
   SpikeRecord make_record() const;
 
  private:
+  // Ends the window for the shared free list and parks every layer's step
+  // buffers there (StepBuffers).
+  void park_window();
+
   std::vector<std::unique_ptr<Layer>> layers_;
   std::int64_t last_window_steps_ = 0;
 };

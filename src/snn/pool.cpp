@@ -1,10 +1,13 @@
 #include "snn/pool.h"
 
 #include "core/error.h"
+#include "snn/pool_kernels.h"
 
 namespace spiketune::snn {
 
 namespace {
+using pool_kernels::PoolGeom;
+
 void require_4d(const Shape& s, const char* who) {
   ST_REQUIRE(s.rank() == 4, std::string(who) + " expects [N, C, H, W]");
 }
@@ -12,6 +15,15 @@ void require_4d(const Shape& s, const char* who) {
 Shape pooled_shape(const Shape& in, std::int64_t k) {
   // floor division truncates ragged borders, like PyTorch's default.
   return Shape{in[0], in[1], in[2] / k, in[3] / k};
+}
+
+// Step buffer slots.  The output and the input gradient differ in size,
+// so each keeps its own storage and neither regrows every step.
+constexpr std::size_t kOut = 0;
+constexpr std::size_t kGrad = 1;
+
+PoolGeom geom(const Shape& in, std::int64_t k) {
+  return PoolGeom{in[0] * in[1], in[2], in[3], k};
 }
 }  // namespace
 
@@ -21,71 +33,41 @@ MaxPool2d::MaxPool2d(std::int64_t kernel) : kernel_(kernel) {
 
 void MaxPool2d::begin_window(std::int64_t, bool training) {
   training_ = training;
-  cache_.clear();
+  steps_ = 0;
 }
 
-Tensor MaxPool2d::forward_step(const Tensor& input) {
+const Tensor& MaxPool2d::forward_step(const Tensor& input) {
   require_4d(input.shape(), "maxpool");
   const Shape out_shape = pooled_shape(input.shape(), kernel_);
   ST_REQUIRE(out_shape[2] > 0 && out_shape[3] > 0,
              "maxpool input smaller than kernel");
 
-  const std::int64_t h = input.shape()[2];
-  const std::int64_t w = input.shape()[3];
-  const std::int64_t oh = out_shape[2];
-  const std::int64_t ow = out_shape[3];
-  const std::int64_t planes = out_shape[0] * out_shape[1];
-
-  Tensor output(out_shape);
-  StepCache cache;
+  // An inference step records its taps too, in slot 0, and drops them.
+  const std::size_t slot = training_ ? steps_ : 0;
+  if (cache_.size() <= slot) cache_.resize(slot + 1);
+  StepCache& cache = cache_[slot];
   cache.input_shape = input.shape();
-  cache.argmax.resize(static_cast<std::size_t>(output.numel()));
+  cache.taps.resize(static_cast<std::size_t>(out_shape.numel()));
+  if (training_) ++steps_;
 
-  const float* in = input.data();
-  float* out = output.data();
-  for (std::int64_t p = 0; p < planes; ++p) {
-    const float* iplane = in + p * h * w;
-    const std::int64_t ibase = p * h * w;
-    float* oplane = out + p * oh * ow;
-    std::int64_t* aplane = cache.argmax.data() + p * oh * ow;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t x = 0; x < ow; ++x) {
-        const std::int64_t y0 = y * kernel_;
-        const std::int64_t x0 = x * kernel_;
-        float best = iplane[y0 * w + x0];
-        std::int64_t best_idx = y0 * w + x0;
-        for (std::int64_t dy = 0; dy < kernel_; ++dy) {
-          for (std::int64_t dx = 0; dx < kernel_; ++dx) {
-            const std::int64_t idx = (y0 + dy) * w + (x0 + dx);
-            if (iplane[idx] > best) {
-              best = iplane[idx];
-              best_idx = idx;
-            }
-          }
-        }
-        oplane[y * ow + x] = best;
-        aplane[y * ow + x] = ibase + best_idx;
-      }
-    }
-  }
-  if (training_) cache_.push_back(std::move(cache));
+  Tensor& output = buffers_.get(kOut, out_shape);
+  pool_kernels::max_forward(geom(input.shape(), kernel_), input.data(),
+                            output.data(), cache.taps.data());
   return output;
 }
 
-Tensor MaxPool2d::backward_step(const Tensor& grad_output) {
-  ST_REQUIRE(!cache_.empty(),
+const Tensor& MaxPool2d::backward_step(const Tensor& grad_output) {
+  ST_REQUIRE(steps_ > 0,
              "maxpool backward without matching cached forward step");
-  StepCache cache = std::move(cache_.back());
-  cache_.pop_back();
+  const StepCache& cache = cache_[--steps_];
   ST_REQUIRE(grad_output.numel() ==
-                 static_cast<std::int64_t>(cache.argmax.size()),
+                 static_cast<std::int64_t>(cache.taps.size()),
              "maxpool grad_output size mismatch");
 
-  Tensor grad_input(cache.input_shape);
-  float* gi = grad_input.data();
-  const float* go = grad_output.data();
-  for (std::int64_t i = 0, n = grad_output.numel(); i < n; ++i)
-    gi[cache.argmax[static_cast<std::size_t>(i)]] += go[i];
+  Tensor& grad_input = buffers_.get(kGrad, cache.input_shape);
+  pool_kernels::max_backward(geom(cache.input_shape, kernel_),
+                             grad_output.data(), cache.taps.data(),
+                             grad_input.data());
   return grad_input;
 }
 
@@ -100,70 +82,41 @@ AvgPool2d::AvgPool2d(std::int64_t kernel) : kernel_(kernel) {
 
 void AvgPool2d::begin_window(std::int64_t, bool training) {
   training_ = training;
-  shapes_.clear();
+  steps_ = 0;
 }
 
-Tensor AvgPool2d::forward_step(const Tensor& input) {
+const Tensor& AvgPool2d::forward_step(const Tensor& input) {
   require_4d(input.shape(), "avgpool");
   const Shape out_shape = pooled_shape(input.shape(), kernel_);
   ST_REQUIRE(out_shape[2] > 0 && out_shape[3] > 0,
              "avgpool input smaller than kernel");
 
-  const std::int64_t h = input.shape()[2];
-  const std::int64_t w = input.shape()[3];
-  const std::int64_t oh = out_shape[2];
-  const std::int64_t ow = out_shape[3];
-  const std::int64_t planes = out_shape[0] * out_shape[1];
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor output(out_shape);
-  const float* in = input.data();
-  float* out = output.data();
-  for (std::int64_t p = 0; p < planes; ++p) {
-    const float* iplane = in + p * h * w;
-    float* oplane = out + p * oh * ow;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t x = 0; x < ow; ++x) {
-        float acc = 0.0f;
-        for (std::int64_t dy = 0; dy < kernel_; ++dy)
-          for (std::int64_t dx = 0; dx < kernel_; ++dx)
-            acc += iplane[(y * kernel_ + dy) * w + (x * kernel_ + dx)];
-        oplane[y * ow + x] = acc * inv;
-      }
-    }
+  Tensor& output = buffers_.get(kOut, out_shape);
+  const PoolGeom g = geom(input.shape(), kernel_);
+  if (kernel_ == 2)
+    pool_kernels::avg_forward<2>(g, input.data(), output.data());
+  else
+    pool_kernels::avg_forward<0>(g, input.data(), output.data());
+  if (training_) {
+    if (shapes_.size() <= steps_) shapes_.resize(steps_ + 1);
+    shapes_[steps_++] = input.shape();
   }
-  if (training_) shapes_.push_back(input.shape());
   return output;
 }
 
-Tensor AvgPool2d::backward_step(const Tensor& grad_output) {
-  ST_REQUIRE(!shapes_.empty(),
+const Tensor& AvgPool2d::backward_step(const Tensor& grad_output) {
+  ST_REQUIRE(steps_ > 0,
              "avgpool backward without matching cached forward step");
-  Shape in_shape = shapes_.back();
-  shapes_.pop_back();
+  const Shape& in_shape = shapes_[--steps_];
+  ST_REQUIRE(grad_output.shape() == pooled_shape(in_shape, kernel_),
+             "avgpool grad_output shape mismatch");
 
-  const std::int64_t h = in_shape[2];
-  const std::int64_t w = in_shape[3];
-  const std::int64_t oh = grad_output.shape()[2];
-  const std::int64_t ow = grad_output.shape()[3];
-  const std::int64_t planes = in_shape[0] * in_shape[1];
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor grad_input(in_shape);
-  float* gi = grad_input.data();
-  const float* go = grad_output.data();
-  for (std::int64_t p = 0; p < planes; ++p) {
-    float* iplane = gi + p * h * w;
-    const float* oplane = go + p * oh * ow;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t x = 0; x < ow; ++x) {
-        const float g = oplane[y * ow + x] * inv;
-        for (std::int64_t dy = 0; dy < kernel_; ++dy)
-          for (std::int64_t dx = 0; dx < kernel_; ++dx)
-            iplane[(y * kernel_ + dy) * w + (x * kernel_ + dx)] += g;
-      }
-    }
-  }
+  Tensor& grad_input = buffers_.get(kGrad, in_shape);
+  const PoolGeom g = geom(in_shape, kernel_);
+  if (kernel_ == 2)
+    pool_kernels::avg_backward<2>(g, grad_output.data(), grad_input.data());
+  else
+    pool_kernels::avg_backward<0>(g, grad_output.data(), grad_input.data());
   return grad_input;
 }
 

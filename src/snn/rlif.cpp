@@ -28,7 +28,7 @@ void Rlif::begin_window(std::int64_t, bool training) {
   has_carry_ = false;
 }
 
-Tensor Rlif::forward_step(const Tensor& input) {
+const Tensor& Rlif::forward_step(const Tensor& input) {
   const Shape& s = input.shape();
   ST_REQUIRE(s.rank() == 2 && s[1] == config_.features,
              "rlif expects [N, features], got " + s.str());
@@ -71,14 +71,14 @@ Tensor Rlif::forward_step(const Tensor& input) {
     cache_.push_back(std::move(cache));
   }
   membrane_ = std::move(u_post);
-  prev_spikes_ = spikes;
+  prev_spikes_ = std::move(spikes);
   has_state_ = true;
-  return spikes;
+  return prev_spikes_;
 }
 
 void Rlif::begin_backward() { has_carry_ = false; }
 
-Tensor Rlif::backward_step(const Tensor& grad_output) {
+const Tensor& Rlif::backward_step(const Tensor& grad_output) {
   ST_REQUIRE(!cache_.empty(), "rlif backward without cached forward step");
   StepCache cache = std::move(cache_.back());
   cache_.pop_back();
@@ -129,7 +129,8 @@ Tensor Rlif::backward_step(const Tensor& grad_output) {
       gc[i] *= beta;
   }
   has_carry_ = true;
-  return grad_input;
+  grad_input_ = std::move(grad_input);
+  return grad_input_;
 }
 
 Shape Rlif::output_shape(const Shape& input) const {

@@ -30,9 +30,9 @@ class Rlif final : public Layer {
   explicit Rlif(RlifConfig config);
 
   void begin_window(std::int64_t batch_size, bool training) override;
-  Tensor forward_step(const Tensor& input) override;
+  const Tensor& forward_step(const Tensor& input) override;
   void begin_backward() override;
-  Tensor backward_step(const Tensor& grad_output) override;
+  const Tensor& backward_step(const Tensor& grad_output) override;
 
   std::vector<Param*> params() override { return {&recurrent_}; }
   Shape output_shape(const Shape& input) const override;
@@ -48,7 +48,7 @@ class Rlif final : public Layer {
   bool training_ = false;
 
   Tensor membrane_;       // u_post of the latest step
-  Tensor prev_spikes_;    // s of the latest step
+  Tensor prev_spikes_;    // s of the latest step (forward_step's result)
   bool has_state_ = false;
 
   struct StepCache {
@@ -61,6 +61,7 @@ class Rlif final : public Layer {
   Tensor grad_carry_;        // dL/du_post carried backwards
   Tensor grad_spike_carry_;  // dL/ds[t-1] via the recurrent synapse
   bool has_carry_ = false;
+  Tensor grad_input_;        // backward_step's result
 };
 
 }  // namespace spiketune::snn

@@ -72,6 +72,11 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return t;
 }
 
+void Tensor::resize(const Shape& shape) {
+  shape_ = shape;
+  data_.resize(static_cast<std::size_t>(shape_.numel()));
+}
+
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

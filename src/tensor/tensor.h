@@ -55,6 +55,17 @@ class Tensor {
   /// Returns a tensor with the same data and a new shape of equal numel.
   Tensor reshaped(Shape new_shape) const;
 
+  /// Gives the tensor `shape` in place.  Storage is kept when its capacity
+  /// suffices, so reusing a buffer at the same or a smaller size allocates
+  /// nothing.  Kept elements keep their values and new ones are zero: a
+  /// caller that does not overwrite every element fills first.
+  void resize(const Shape& shape);
+
+  /// Elements the storage holds without reallocating.
+  std::int64_t capacity() const {
+    return static_cast<std::int64_t>(data_.capacity());
+  }
+
   /// Sets every element to `value`.
   void fill(float value);
 

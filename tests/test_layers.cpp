@@ -2,8 +2,10 @@
 // gradient checks of every backward path.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -11,6 +13,7 @@
 #include "snn/conv2d.h"
 #include "snn/linear.h"
 #include "snn/pool.h"
+#include "snn/pool_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gradcheck.h"
 #include "tensor/im2col.h"
@@ -448,6 +451,203 @@ TEST(Conv2d, RepeatedStepInputMatchesRecompute) {
   for (std::int64_t pad : {0, 1})
     for (double density : {0.1, 1.0})
       expect_conv_matches_reference(pad, density, /*repeat=*/true);
+}
+
+
+// --- Pool kernels ------------------------------------------------------------
+//
+// Every instantiation of a pool body against the runtime-k one, and both
+// layers against a test-local copy of the loops as they were before the
+// kernels were templated: a runtime window, and a backward that adds the
+// output gradient into a zero-filled input gradient.  That form turns a
+// -0.0 gradient into +0.0 (0 + -0 is +0); a plain store would keep -0.0.
+
+struct PoolRef {
+  Tensor out;
+  std::vector<std::int64_t> argmax;  // flat input index (max pool)
+};
+
+PoolRef ref_pool_forward(const Tensor& x, std::int64_t k, bool max) {
+  const Shape& s = x.shape();
+  const std::int64_t h = s[2], w = s[3], oh = h / k, ow = w / k;
+  PoolRef r{Tensor(Shape{s[0], s[1], oh, ow}), {}};
+  r.argmax.resize(static_cast<std::size_t>(r.out.numel()));
+  const float inv = 1.0f / static_cast<float>(k * k);
+  for (std::int64_t p = 0; p < s[0] * s[1]; ++p)
+    for (std::int64_t y = 0; y < oh; ++y)
+      for (std::int64_t xo = 0; xo < ow; ++xo) {
+        const float* plane = x.data() + p * h * w;
+        const std::int64_t o = (p * oh + y) * ow + xo;
+        float acc = 0.0f;
+        std::int64_t best = (y * k) * w + xo * k;
+        for (std::int64_t dy = 0; dy < k; ++dy)
+          for (std::int64_t dx = 0; dx < k; ++dx) {
+            const std::int64_t idx = (y * k + dy) * w + (xo * k + dx);
+            acc += plane[idx];
+            if (plane[idx] > plane[best]) best = idx;
+          }
+        r.out[o] = max ? plane[best] : acc * inv;
+        r.argmax[static_cast<std::size_t>(o)] = p * h * w + best;
+      }
+  return r;
+}
+
+Tensor ref_pool_backward(const Shape& in, const PoolRef& fwd,
+                         const Tensor& go, std::int64_t k, bool max) {
+  const std::int64_t h = in[2], w = in[3], oh = h / k, ow = w / k;
+  const float inv = 1.0f / static_cast<float>(k * k);
+  Tensor gi(in);
+  for (std::int64_t p = 0; p < in[0] * in[1]; ++p)
+    for (std::int64_t y = 0; y < oh; ++y)
+      for (std::int64_t xo = 0; xo < ow; ++xo) {
+        const std::int64_t o = (p * oh + y) * ow + xo;
+        if (max) {
+          gi[fwd.argmax[static_cast<std::size_t>(o)]] += go[o];
+          continue;
+        }
+        for (std::int64_t dy = 0; dy < k; ++dy)
+          for (std::int64_t dx = 0; dx < k; ++dx)
+            gi[p * h * w + (y * k + dy) * w + (xo * k + dx)] += go[o] * inv;
+      }
+  return gi;
+}
+
+// Values from a small set, so windows hold ties, +0.0 and -0.0.
+Tensor pool_values(const Shape& shape, Rng& rng) {
+  static const float kValues[] = {-1.5f, -0.0f, 0.0f, 0.25f, 1.0f, 2.0f};
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < t.numel(); ++i)
+    t[i] = kValues[rng.uniform_int(6)];
+  return t;
+}
+
+using PlaneSize = std::pair<std::int64_t, std::int64_t>;  // H, W
+
+struct PoolOutputs {
+  Tensor out, grad;
+};
+
+// Forward and backward kernels over a [3, 5, h, w] batch.  The outputs
+// start out as `fill`, so an element a kernel skips shows.
+template <int K>
+PoolOutputs run_avg_kernels(const pool_kernels::PoolGeom& g, const Tensor& x,
+                            const Tensor& go, float fill) {
+  PoolOutputs r{Tensor::full(go.shape(), fill), Tensor::full(x.shape(), fill)};
+  pool_kernels::avg_forward<K>(g, x.data(), r.out.data());
+  pool_kernels::avg_backward<K>(g, go.data(), r.grad.data());
+  return r;
+}
+
+PoolOutputs run_max_kernels(const pool_kernels::PoolGeom& g, const Tensor& x,
+                            const Tensor& go, float fill) {
+  PoolOutputs r{Tensor::full(go.shape(), fill), Tensor::full(x.shape(), fill)};
+  std::vector<std::int32_t> taps(static_cast<std::size_t>(go.numel()));
+  pool_kernels::max_forward(g, x.data(), r.out.data(), taps.data());
+  pool_kernels::max_backward(g, go.data(), taps.data(), r.grad.data());
+  return r;
+}
+
+// Even and odd (ragged) planes.
+const PlaneSize kKernelPlanes[] = {PlaneSize{8, 6}, PlaneSize{7, 9},
+                                   PlaneSize{14, 14}, PlaneSize{5, 4}};
+
+template <int K>
+void expect_avg_instantiation_matches_runtime_k(PlaneSize size) {
+  const auto [h, w] = size;
+  SCOPED_TRACE(testing::Message() << "k " << K << ", " << h << "x" << w);
+  Rng rng(static_cast<std::uint64_t>(K * 100 + h * 10 + w));
+  const Tensor x = pool_values(Shape{3, 5, h, w}, rng);
+  const Tensor go = pool_values(Shape{3, 5, h / K, w / K}, rng);
+  const pool_kernels::PoolGeom g{15, h, w, K};
+  const PoolOutputs fixed = run_avg_kernels<K>(g, x, go, 7.0f);
+  const PoolOutputs runtime = run_avg_kernels<0>(g, x, go, -7.0f);
+  EXPECT_TRUE(bits_equal(fixed.out, runtime.out)) << "forward";
+  EXPECT_TRUE(bits_equal(fixed.grad, runtime.grad)) << "backward";
+}
+
+TEST(PoolKernels, FixedWindowMatchesRuntimeWindowBitwise) {
+  // The k = 2 the average pool instantiates, and k = 3.
+  for (PlaneSize size : kKernelPlanes) {
+    expect_avg_instantiation_matches_runtime_k<2>(size);
+    expect_avg_instantiation_matches_runtime_k<3>(size);
+  }
+}
+
+TEST(PoolKernels, MaxWritesEveryElementAsTheUnfusedLoops) {
+  for (std::int64_t k : {2, 3})
+    for (PlaneSize size : kKernelPlanes) {
+      const auto [h, w] = size;
+      SCOPED_TRACE(testing::Message() << "k " << k << ", " << h << "x" << w);
+      Rng rng(static_cast<std::uint64_t>(k * 100 + h * 10 + w));
+      const Tensor x = pool_values(Shape{3, 5, h, w}, rng);
+      const Tensor go = pool_values(Shape{3, 5, h / k, w / k}, rng);
+      const PoolOutputs got =
+          run_max_kernels(pool_kernels::PoolGeom{15, h, w, k}, x, go, 7.0f);
+      const PoolRef ref = ref_pool_forward(x, k, true);
+      EXPECT_TRUE(bits_equal(got.out, ref.out)) << "forward";
+      EXPECT_TRUE(bits_equal(got.grad,
+                             ref_pool_backward(x.shape(), ref, go, k, true)))
+          << "backward";
+    }
+}
+
+// A 3-step training window through the layer against the reference, with
+// fresh inputs and gradients per step.
+template <typename Pool>
+void expect_pool_layer_matches_reference(std::int64_t k, PlaneSize size,
+                                         bool max) {
+  const auto [h, w] = size;
+  SCOPED_TRACE(testing::Message() << (max ? "max" : "avg") << " k " << k
+                                  << ", " << h << "x" << w);
+  Rng rng(static_cast<std::uint64_t>(k * 1000 + h * 10 + w + max));
+  Pool pool(k);
+  const Shape in{2, 3, h, w};
+  const Shape out{2, 3, h / k, w / k};
+  std::vector<Tensor> xs, gos;
+  for (int t = 0; t < 3; ++t) {
+    xs.push_back(pool_values(in, rng));
+    gos.push_back(pool_values(out, rng));
+  }
+  pool.begin_window(2, true);
+  std::vector<PoolRef> refs;
+  for (const Tensor& x : xs) {
+    refs.push_back(ref_pool_forward(x, k, max));
+    EXPECT_TRUE(bits_equal(pool.forward_step(x), refs.back().out));
+  }
+  for (int t = 2; t >= 0; --t) {
+    const Tensor want = ref_pool_backward(in, refs[static_cast<std::size_t>(t)],
+                                          gos[static_cast<std::size_t>(t)], k,
+                                          max);
+    EXPECT_TRUE(bits_equal(pool.backward_step(gos[static_cast<std::size_t>(t)]),
+                           want))
+        << "step " << t;
+  }
+}
+
+TEST(PoolLayers, MatchUnfusedLoopsBitwise) {
+  for (std::int64_t k : {2, 3})
+    for (PlaneSize size : {PlaneSize{6, 6}, PlaneSize{7, 5}, PlaneSize{9, 10}}) {
+      expect_pool_layer_matches_reference<AvgPool2d>(k, size, false);
+      expect_pool_layer_matches_reference<MaxPool2d>(k, size, true);
+    }
+}
+
+TEST(PoolLayers, NegativeZeroGradientBecomesPositiveZero) {
+  // The one case where `0 + g` and a plain store of g differ.
+  for (bool max : {false, true}) {
+    SCOPED_TRACE(max ? "max" : "avg");
+    std::unique_ptr<Layer> pool;
+    if (max)
+      pool = std::make_unique<MaxPool2d>(2);
+    else
+      pool = std::make_unique<AvgPool2d>(2);
+    pool->begin_window(1, true);
+    pool->forward_step(Tensor(Shape{1, 1, 3, 2}, {1, 2, 3, 4, 5, 6}));
+    const Tensor& gi = pool->backward_step(Tensor(Shape{1, 1, 1, 1}, {-0.0f}));
+    ASSERT_EQ(gi.shape(), Shape({1, 1, 3, 2}));
+    for (std::int64_t i = 0; i < gi.numel(); ++i)
+      EXPECT_FALSE(std::signbit(gi[i])) << "element " << i;
+  }
 }
 
 }  // namespace

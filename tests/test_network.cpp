@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 
 #include "core/error.h"
+#include "core/parallel.h"
+#include "core/rng.h"
 #include "snn/conv2d.h"
 #include "snn/linear.h"
 #include "snn/model_zoo.h"
@@ -286,6 +289,115 @@ TEST(Network, HigherThresholdFiresLess) {
     return out.stats.mean_firing_rate();
   };
   EXPECT_GT(rate_for_theta(0.5f), rate_for_theta(2.0f));
+}
+
+
+// --- Step buffers reused across windows --------------------------------------
+//
+// A network reuses its layers' step buffers window after window, and the
+// storage it parks between windows is what other networks' windows take.
+// Neither may leak into a result: every window must give, bit for bit, what
+// a freshly built network gives on it.
+
+struct WindowSpec {
+  std::int64_t batch;
+  std::int64_t steps;
+  bool training;
+  bool direct;  // one image at every step (direct coding), else spikes
+  std::uint64_t seed;
+};
+
+std::vector<Tensor> make_window(const WindowSpec& w, std::int64_t image) {
+  Rng rng(w.seed);
+  const Shape shape{w.batch, 3, image, image};
+  if (w.direct)
+    return std::vector<Tensor>(static_cast<std::size_t>(w.steps),
+                               Tensor::uniform(shape, rng, -2.0f, 2.0f));
+  std::vector<Tensor> steps;
+  for (std::int64_t t = 0; t < w.steps; ++t) {
+    Tensor x(shape);
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+      x[i] = rng.uniform() < 0.3 ? 1.0f : 0.0f;
+    steps.push_back(std::move(x));
+  }
+  return steps;
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Runs `w` on `net` and on a fresh network; returns the output spike total
+// and the first layer's gradient L1, so callers can check liveness.
+std::pair<double, double> expect_window_matches_fresh(
+    SpikingNetwork& net,
+    const std::function<std::unique_ptr<SpikingNetwork>()>& make,
+    const WindowSpec& w, std::int64_t image) {
+  SCOPED_TRACE(testing::Message() << "batch " << w.batch << ", "
+                                  << (w.training ? "training" : "inference")
+                                  << ", seed " << w.seed);
+  auto fresh = make();
+  const auto window = make_window(w, image);
+  const ForwardOptions opt{.training = w.training, .record_stats = true};
+  net.zero_grad();
+  fresh->zero_grad();
+  const auto got = net.forward(window, opt);
+  const auto want = fresh->forward(window, opt);
+  EXPECT_TRUE(bits_equal(got.spike_counts, want.spike_counts));
+  EXPECT_EQ(got.stats.mean_firing_rate(), want.stats.mean_firing_rate());
+  double spikes = 0.0;
+  for (std::int64_t i = 0; i < got.spike_counts.numel(); ++i)
+    spikes += got.spike_counts[i];
+  if (!w.training) return {spikes, 0.0};
+
+  Rng rng(w.seed + 100);
+  const Tensor g =
+      Tensor::uniform(got.spike_counts.shape(), rng, -1.0f, 1.0f);
+  net.backward(g);
+  fresh->backward(g);
+  const auto gp = net.params();
+  const auto wp = fresh->params();
+  for (std::size_t i = 0; i < gp.size(); ++i)
+    EXPECT_TRUE(bits_equal(gp[i]->grad, wp[i]->grad))
+        << "param " << i << " " << gp[i]->name;
+  double l1 = 0.0;
+  for (std::int64_t e = 0; e < gp.front()->numel(); ++e)
+    l1 += std::fabs(gp.front()->grad[e]);
+  return {spikes, l1};
+}
+
+TEST(Network, ReusedWindowsMatchFreshNetworkBitwise) {
+  CsnnConfig cfg;
+  cfg.image_size = 16;
+  cfg.conv1_filters = 8;
+  cfg.conv2_filters = 8;
+  cfg.fc_hidden = 32;
+  cfg.init_gain = 3.0f;
+  const auto make = [&] { return make_svhn_csnn(cfg); };
+  // Batch 32, then 7 (every buffer shrinks), an inference window, then 32
+  // again (every buffer regrows), with direct-coded and spike inputs.
+  const WindowSpec windows[] = {{32, 4, true, true, 1},
+                                {7, 3, true, false, 2},
+                                {32, 4, false, false, 3},
+                                {32, 4, true, true, 4},
+                                {32, 3, true, false, 5}};
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    set_num_threads(threads);
+    auto net = make();
+    double spikes = 0.0;
+    for (const WindowSpec& w : windows) {
+      const auto [s, l1] = expect_window_matches_fresh(*net, make, w, 16);
+      spikes += s;
+      if (w.training) {
+        EXPECT_GT(l1, 0.0) << "seed " << w.seed;
+      }
+    }
+    EXPECT_GT(spikes, 0.0);
+  }
+  set_num_threads(1);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ std::vector<hw::LayerWorkload> grid_workloads(double density) {
   const std::int64_t neu[] = {28800, 5408, 256};
   for (int i = 0; i < 3; ++i) {
     auto& w = ws[static_cast<std::size_t>(i)];
-    w.name = "l" + std::to_string(i);
+    w.name = 'l' + std::to_string(i);
     w.input_size = ins[i];
     w.fanout = fan[i];
     w.neurons = neu[i];
