@@ -1,13 +1,15 @@
 // MICRO — google-benchmark suite for the hot kernels underpinning training,
 // inference and simulation: GEMM variants (square, and at the csnn training
-// shapes), im2col, conv forward/backward, the LIF step, one LIF training
-// window, one spike-sparse conv training step, one whole csnn training
-// step (loader to optimizer), spike encoders, the end-to-end CSNN
-// timestep, one streaming inference step, and the hardware models
-// (allocator, analytic analysis, event-sim tick).
+// shapes), im2col, conv forward/backward, conv2's input gradient, conv1's
+// weight gradient, the LIF step, one LIF training window, one spike-sparse
+// conv training step, one whole csnn training step (loader to optimizer),
+// spike encoders, the end-to-end CSNN timestep, one streaming inference
+// step, and the hardware models (allocator, analytic analysis, event-sim
+// tick).
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "snn/model_zoo.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/spike_conv.h"
 #include "train/optimizer.h"
 
 using namespace spiketune;
@@ -206,6 +209,147 @@ BENCHMARK(BM_ConvBackward)
     ->UseRealTime()
     ->ArgNames({"img", "threads"})
     ->ArgsProduct({{16, 32}, kThreadCounts});
+
+// conv2's input gradient for one batch-32 step at the csnn's 16x16 and
+// 32x32 shapes (32 -> 32 channels, 3x3; 7x7 -> 5x5 and 15x15 -> 13x13),
+// one thread.  Path 0 is Conv2d's kernel pair, rows from the nonzero
+// output gradients then the per-pixel gather; path 1 is the gemm_tn +
+// col2im it replaced, with a pad-0 copy of col2im here.  Density 17 puts
+// one value in each whole 2x2 window of each plane, as a max pool's
+// backward leaves it (16 % of a 5x5 map, 21 % of a 13x13); density 100 is
+// fully dense.
+void col2im_baseline(const ConvGeom& g, const float* columns, float* image) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* plane = image + c * g.height * g.width;
+    std::int64_t row = c * g.kernel_h * g.kernel_w;
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x)
+            plane[(y + kh) * g.width + x + kw] += columns[row * oh * ow +
+                                                          y * ow + x];
+  }
+}
+
+void BM_ConvInputGrad(benchmark::State& state) {
+  const std::int64_t img = state.range(0);
+  const bool dense = state.range(1) == 100;
+  const bool gather = state.range(2) == 0;
+  constexpr std::int64_t kBatch = 32;
+  constexpr std::int64_t kChannels = 32;
+  const ConvGeom g{kChannels, img, img, 3, 3, 0, 0, 1, 1};
+  const std::int64_t oh = g.out_h();
+  const std::int64_t kk = g.col_rows();
+  const std::int64_t sp = g.col_cols();
+  Rng rng(13);
+  const auto w = random_vec(kChannels * kk, rng);
+  std::vector<float> wr(w.size());
+  conv_weight_tap_major(kChannels, kChannels, 9, w.data(), wr.data());
+  std::vector<float> go(static_cast<std::size_t>(kBatch * kChannels * sp));
+  for (std::int64_t plane = 0; plane < kBatch * kChannels; ++plane) {
+    float* p = go.data() + plane * sp;
+    if (dense) {
+      for (std::int64_t s = 0; s < sp; ++s)
+        p[s] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      continue;
+    }
+    for (std::int64_t y = 0; y + 2 <= oh; y += 2)
+      for (std::int64_t x = 0; x + 2 <= oh; x += 2) {
+        const auto tap = static_cast<std::int64_t>(rng.uniform_int(4));
+        p[(y + tap / 2) * oh + x + tap % 2] =
+            static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+  }
+  const std::int64_t in_stride = kChannels * img * img;
+  std::vector<float> dx(static_cast<std::size_t>(kBatch * in_stride));
+  std::vector<float> scratch(static_cast<std::size_t>(kk * sp + kChannels));
+  std::vector<std::int32_t> nz(kChannels);
+  for (auto _ : state) {
+    if (!gather) std::fill(dx.begin(), dx.end(), 0.0f);
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      const float* goi = go.data() + i * kChannels * sp;
+      float* dxi = dx.data() + i * in_stride;
+      if (gather) {
+        float* nz_go = scratch.data() + kk * sp;
+        conv_grad_rows(sp, kk, kChannels, wr.data(), goi, nz.data(), nz_go,
+                       scratch.data());
+        conv_gather_dx(g, scratch.data(), dxi);
+      } else {
+        gemm_tn(kk, sp, kChannels, 1.0f, w.data(), goi, 0.0f,
+                scratch.data());
+        col2im_baseline(g, scratch.data(), dxi);
+      }
+    }
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_ConvInputGrad)
+    ->UseRealTime()
+    ->ArgNames({"img", "density", "path"})
+    ->ArgsProduct({{7, 15}, {17, 100}, {0, 1}});
+
+// conv1's weight gradient for one batch-32 step at the csnn's 16x16 shape
+// (3 -> 32 channels, 3x3, 14x14 outputs, dense output gradient), one
+// thread.  Path 0: 32 per-sample gemm_nt(go, cols) calls into [OC, K], as
+// Conv2d runs them.  Path 1: one long-K gemm_nt over the batch's output
+// gradients and columns laid side by side, the layout copies included.
+// Path 2: 32 per-sample gemm_nt(cols, go) calls into a [K, OC]
+// transpose, so B is one full 32-wide panel, the transposes in and out
+// included.  All three give the same bits.
+void BM_ConvWeightGrad(benchmark::State& state) {
+  const std::int64_t path = state.range(0);
+  constexpr std::int64_t kBatch = 32;
+  constexpr std::int64_t kOut = 32;
+  const ConvGeom g{3, 16, 16, 3, 3, 0, 0, 1, 1};
+  const std::int64_t kk = g.col_rows();
+  const std::int64_t sp = g.col_cols();
+  Rng rng(14);
+  const auto go = random_vec(kBatch * kOut * sp, rng);
+  const auto cols = random_vec(kBatch * kk * sp, rng);
+  std::vector<float> go_wide(go.size());
+  std::vector<float> cols_wide(cols.size());
+  std::vector<float> gw(static_cast<std::size_t>(kOut * kk));
+  std::vector<float> gt(gw.size());
+  for (auto _ : state) {
+    if (path == 1) {
+      // [OC, N*spatial] and [K, N*spatial], sample-major along k.
+      for (std::int64_t i = 0; i < kBatch; ++i) {
+        for (std::int64_t oc = 0; oc < kOut; ++oc)
+          std::copy_n(go.data() + (i * kOut + oc) * sp, sp,
+                      go_wide.data() + (oc * kBatch + i) * sp);
+        for (std::int64_t p = 0; p < kk; ++p)
+          std::copy_n(cols.data() + (i * kk + p) * sp, sp,
+                      cols_wide.data() + (p * kBatch + i) * sp);
+      }
+      gemm_nt(kOut, kk, kBatch * sp, 1.0f, go_wide.data(), cols_wide.data(),
+              1.0f, gw.data());
+    } else if (path == 2) {
+      for (std::int64_t oc = 0; oc < kOut; ++oc)
+        for (std::int64_t p = 0; p < kk; ++p)
+          gt[static_cast<std::size_t>(p * kOut + oc)] =
+              gw[static_cast<std::size_t>(oc * kk + p)];
+      for (std::int64_t i = 0; i < kBatch; ++i)
+        gemm_nt(kk, kOut, sp, 1.0f, cols.data() + i * kk * sp,
+                go.data() + i * kOut * sp, 1.0f, gt.data());
+      for (std::int64_t oc = 0; oc < kOut; ++oc)
+        for (std::int64_t p = 0; p < kk; ++p)
+          gw[static_cast<std::size_t>(oc * kk + p)] =
+              gt[static_cast<std::size_t>(p * kOut + oc)];
+    } else {
+      for (std::int64_t i = 0; i < kBatch; ++i)
+        gemm_nt(kOut, kk, sp, 1.0f, go.data() + i * kOut * sp,
+                cols.data() + i * kk * sp, 1.0f, gw.data());
+    }
+    benchmark::DoNotOptimize(gw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_ConvWeightGrad)->UseRealTime()->ArgName("path")->DenseRange(0, 2);
 
 void BM_LifStep(benchmark::State& state) {
   const std::int64_t n = state.range(0);

@@ -12,6 +12,19 @@
 
 namespace spiketune::snn {
 
+namespace {
+
+// The calling thread's kernel scratch, at least n floats.  It outlives the
+// call, growing to the largest conv step the thread has run, so a warm step
+// allocates nothing; every kernel overwrites what it reads.
+float* thread_scratch(std::size_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+}  // namespace
+
 Conv2d::Conv2d(Conv2dConfig config, Rng& rng)
     : config_(config),
       weight_("conv.weight",
@@ -42,6 +55,7 @@ ConvGeom Conv2d::geom_for(const Shape& input) const {
 void Conv2d::begin_window(std::int64_t, bool training) {
   training_ = training;
   weight_t_stale_ = true;
+  weight_r_stale_ = true;
   num_inputs_ = 0;
   step_inputs_.clear();
   cols_valid_ = false;
@@ -108,11 +122,8 @@ const Tensor& Conv2d::forward_step(const Tensor& input) {
   // output block.  (With a single-sample batch the slice runs inline and
   // the im2col/gemm kernels parallelize internally.)
   parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
-    // One sample's columns or channel-last scatter.  It outlives the call,
-    // growing to the largest conv the thread has run, so a warm step
-    // allocates nothing; both kernels overwrite what they read.
-    thread_local std::vector<float> buf;
-    if (buf.size() < scratch) buf.resize(scratch);
+    // One sample's columns or channel-last scatter.
+    float* buf = thread_scratch(scratch);
     for (std::int64_t i = sb; i < se; ++i) {
       const float* x = input.data() + i * in_stride;
       float* out = output.data() + i * out_stride;
@@ -120,22 +131,21 @@ const Tensor& Conv2d::forward_step(const Tensor& input) {
         // [spatial, OC] scatter, then out[oc, s] = pre[s, oc] + bias[oc]:
         // the dense path's one bias add per element.
         conv_scatter(g, ocn, wt, x, idx_.data() + i * in_stride,
-                     count_[static_cast<std::size_t>(i)], buf.data());
+                     count_[static_cast<std::size_t>(i)], buf);
         for (std::int64_t oc = 0; oc < ocn; ++oc) {
           float* plane = out + oc * spatial;
           if (b != nullptr)
             for (std::int64_t s = 0; s < spatial; ++s)
-              plane[s] = buf[static_cast<std::size_t>(s * ocn + oc)] + b[oc];
+              plane[s] = buf[s * ocn + oc] + b[oc];
           else
             for (std::int64_t s = 0; s < spatial; ++s)
-              plane[s] = buf[static_cast<std::size_t>(s * ocn + oc)];
+              plane[s] = buf[s * ocn + oc];
         }
         continue;
       }
-      im2col(g, x, buf.data());
+      im2col(g, x, buf);
       // out[OC, OHW] = W[OC, K] * cols[K, OHW]
-      gemm(ocn, spatial, kk, 1.0f, weight_.value.data(), buf.data(), 0.0f,
-           out);
+      gemm(ocn, spatial, kk, 1.0f, weight_.value.data(), buf, 0.0f, out);
       if (b != nullptr)
         for (std::int64_t oc = 0; oc < ocn; ++oc) {
           const float bv = b[oc];
@@ -166,18 +176,14 @@ void Conv2d::backward_step_params(const Tensor& grad_output) {
 }
 
 void Conv2d::sparse_weight_grad(const ConvGeom& g, const Tensor& x,
-                                const Tensor& grad_output) {
+                                const Tensor& grad_output, float* gt) {
   const std::int64_t n = x.shape()[0];
   const std::int64_t ocn = config_.out_channels;
-  const std::int64_t kk = g.col_rows();
   const std::int64_t spatial = g.col_cols();
   const std::int64_t in_stride = g.channels * g.height * g.width;
-  // Both are written in full before they are read.
+  // Channel-last output gradient per sample, written in full before it is
+  // read, so the gather's inner loop runs over contiguous output channels.
   float* go_t = buffers_.get(kGoT, Shape{n, spatial, ocn}).data();
-  float* gt = buffers_.get(kGradT, Shape{kk, ocn}).data();
-  float* gw = weight_.grad.data();
-  // Channel-last output gradient per sample, and the gradient as [K, OC],
-  // so the gather's inner loop runs over contiguous output channels.
   parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
     for (std::int64_t i = sb; i < se; ++i) {
       const float* go = grad_output.data() + i * ocn * spatial;
@@ -187,8 +193,6 @@ void Conv2d::sparse_weight_grad(const ConvGeom& g, const Tensor& x,
           dst[s * ocn + oc] = go[oc * spatial + s];
     }
   });
-  for (std::int64_t oc = 0; oc < ocn; ++oc)
-    for (std::int64_t p = 0; p < kk; ++p) gt[p * ocn + oc] = gw[oc * kk + p];
   // Threads own disjoint gradient rows (output channels) and each walks
   // the samples in batch order, so every element's sum keeps the serial
   // order at any thread count.
@@ -199,8 +203,6 @@ void Conv2d::sparse_weight_grad(const ConvGeom& g, const Tensor& x,
                      count_[static_cast<std::size_t>(i)],
                      go_t + i * spatial * ocn, ob, oe, gt);
   });
-  for (std::int64_t oc = 0; oc < ocn; ++oc)
-    for (std::int64_t p = 0; p < kk; ++p) gw[oc * kk + p] = gt[p * ocn + oc];
 }
 
 void Conv2d::backward(const Tensor& grad_output, bool input_grad) {
@@ -227,11 +229,19 @@ void Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   const std::int64_t out_stride = ocn * spatial;
   const std::int64_t col_stride = kk * spatial;
 
-  // Weight gradient: gW[OC, K] += go[OC, OHW] * cols[K, OHW]^T per sample,
-  // samples in batch order.
+  // Weight gradient, per sample in batch order, accumulated for the step in
+  // a [K, OC] transpose gT of gW: each kernel's inner loop then runs over
+  // contiguous output channels, and the dense path's gemm_nt reads the
+  // output gradient as one full-width panel.  Every element gets the same
+  // terms in the same order as gemm_nt(go, cols) into gW; each path skips
+  // a different kind of ±0 product (DESIGN.md "Training kernels").
+  float* gw = weight_.grad.data();
+  float* gt = buffers_.get(kGradT, Shape{kk, ocn}).data();
+  for (std::int64_t oc = 0; oc < ocn; ++oc)
+    for (std::int64_t p = 0; p < kk; ++p) gt[p * ocn + oc] = gw[oc * kk + p];
   if (input_sparse_[slot]) {
     index_inputs(g, input);
-    sparse_weight_grad(g, input, grad_output);
+    sparse_weight_grad(g, input, grad_output, gt);
   } else {
     // An input read by several steps is lowered once, for all of them;
     // otherwise the slot holds one sample's columns at a time.  im2col
@@ -253,36 +263,71 @@ void Conv2d::backward(const Tensor& grad_output, bool input_grad) {
         sample_cols += i * col_stride;
       else
         im2col(g, input.data() + i * in_stride, cols);
-      gemm_nt(ocn, kk, spatial, 1.0f, grad_output.data() + i * out_stride,
-              sample_cols, 1.0f, weight_.grad.data());
+      // gT[K, OC] += cols[K, OHW] * go[OC, OHW]^T
+      gemm_nt(kk, ocn, spatial, 1.0f, sample_cols,
+              grad_output.data() + i * out_stride, 1.0f, gt);
     }
   }
+  for (std::int64_t oc = 0; oc < ocn; ++oc)
+    for (std::int64_t p = 0; p < kk; ++p) gw[oc * kk + p] = gt[p * ocn + oc];
 
-  // Input gradient: gCols[K, OHW] = W[OC, K]^T * go[OC, OHW], then col2im,
-  // which accumulates into a zeroed plane.
+  // Input gradient from the nonzero output gradients: per sample, rows
+  // R[s] = sum of go[oc, s] * W'[oc, :] over the nonzero oc, then each
+  // input pixel gathers its taps from R.  The samples split across threads,
+  // each writing its own dx block from its own scratch.
   if (input_grad) {
-    float* grad_cols = buffers_.get(kGradCols, Shape{col_stride}).data();
-    Tensor& grad_input = buffers_.get(kGradIn, input.shape());
-    grad_input.fill(0.0f);
-    for (std::int64_t i = 0; i < n; ++i) {
-      gemm_tn(kk, spatial, ocn, 1.0f, weight_.value.data(),
-              grad_output.data() + i * out_stride, 0.0f, grad_cols);
-      col2im(g, grad_cols, grad_input.data() + i * in_stride);
+    ST_PROF_SCOPE("conv2d.dx");
+    if (weight_r_stale_) {
+      conv_weight_tap_major(ocn, config_.in_channels,
+                            config_.kernel * config_.kernel,
+                            weight_.value.data(),
+                            buffers_.get(kWeightR, Shape{ocn, kk}).data());
+      weight_r_stale_ = false;
     }
+    const float* wr = buffers_.at(kWeightR).data();
+    float* gin = buffers_.get(kGradIn, input.shape()).data();
+    parallel_for(0, n, 1, [&](std::int64_t sb, std::int64_t se) {
+      thread_local std::vector<std::int32_t> nz;
+      if (nz.size() < static_cast<std::size_t>(ocn))
+        nz.resize(static_cast<std::size_t>(ocn));
+      // [spatial, K] rows, then the compacted gradient values.
+      float* rows =
+          thread_scratch(static_cast<std::size_t>(spatial * kk + ocn));
+      float* nz_go = rows + spatial * kk;
+      for (std::int64_t i = sb; i < se; ++i) {
+        conv_grad_rows(spatial, kk, ocn, wr,
+                       grad_output.data() + i * out_stride, nz.data(), nz_go,
+                       rows);
+        conv_gather_dx(g, rows, gin + i * in_stride);
+      }
+    });
   }
 
-  // Bias gradient: sum over spatial positions, per channel in sample order.
+  // Bias gradient: per channel, one double sum over spatial positions per
+  // sample, added to gb[oc] in sample order.  Eight samples' sums run as
+  // independent chains, each in its serial order.
   if (config_.bias) {
+    constexpr std::int64_t kChains = 8;
     float* gb = bias_.grad.data();
     parallel_for(0, ocn, 4, [&](std::int64_t ob, std::int64_t oe) {
-      for (std::int64_t oc = ob; oc < oe; ++oc)
-        for (std::int64_t i = 0; i < n; ++i) {
-          const float* plane =
-              grad_output.data() + i * out_stride + oc * spatial;
+      for (std::int64_t oc = ob; oc < oe; ++oc) {
+        const float* plane = grad_output.data() + oc * spatial;
+        std::int64_t i = 0;
+        for (; i + kChains <= n; i += kChains) {
+          double acc[kChains] = {};
+          for (std::int64_t s = 0; s < spatial; ++s)
+            for (std::int64_t c = 0; c < kChains; ++c)
+              acc[c] += plane[(i + c) * out_stride + s];
+          for (std::int64_t c = 0; c < kChains; ++c)
+            gb[oc] += static_cast<float>(acc[c]);
+        }
+        for (; i < n; ++i) {
           double acc = 0.0;
-          for (std::int64_t s = 0; s < spatial; ++s) acc += plane[s];
+          for (std::int64_t s = 0; s < spatial; ++s)
+            acc += plane[i * out_stride + s];
           gb[oc] += static_cast<float>(acc);
         }
+      }
     });
   }
 

@@ -9,10 +9,11 @@
 // forward pass and the weight gradient walk per-sample spike index lists
 // (tensor/spike_conv.h) — the event-driven compute-skipping the
 // sparsity-aware accelerator performs in hardware; above it they run
-// im2col + GEMM.  A step whose input is bitwise the previous step's (direct
-// coding feeds one image at every step) reuses that step's output, and its
-// backward reuses the image's im2col columns.  Every path gives the same
-// bits (DESIGN.md "Training kernels").
+// im2col + GEMM.  The input gradient is built from the nonzero output
+// gradients at every density.  A step whose input is bitwise the previous
+// step's (direct coding feeds one image at every step) reuses that step's
+// output, and its backward reuses the image's im2col columns.  Every path
+// gives the same bits (DESIGN.md "Training kernels").
 #pragma once
 
 #include <vector>
@@ -59,19 +60,19 @@ class Conv2d final : public Layer {
 
  private:
   // Step buffer slots: the output; the input gradient; the [K, OC] weight
-  // copy the sparse scatter reads, refreshed once per window; the
-  // backward im2col columns; the sparse dW's [N, spatial, OC] output
-  // gradient and [K, OC] weight gradient; one sample's input-gradient
-  // columns; then the window's distinct step inputs, the j-th in slot
-  // kInput + j.
+  // copy the sparse scatter reads and the tap-major [OC, K] copy the input
+  // gradient reads, each refreshed once per window; the backward im2col
+  // columns; the sparse dW's [N, spatial, OC] output gradient and [K, OC]
+  // weight gradient; then the window's distinct step inputs, the j-th in
+  // slot kInput + j.
   enum Slot : std::size_t {
     kOut,
     kGradIn,
     kWeightT,
+    kWeightR,
     kCols,
     kGoT,
     kGradT,
-    kGradCols,
     kInput
   };
 
@@ -81,15 +82,17 @@ class Conv2d final : public Layer {
   bool index_inputs(const ConvGeom& g, const Tensor& x);
   // One backward step; computes dL/d(input) only when `input_grad`.
   void backward(const Tensor& grad_output, bool input_grad);
-  // Weight gradient of one step from the index lists in idx_/count_.
+  // Adds one step's weight gradient, from the index lists in idx_/count_,
+  // to the [K, OC] transposed gradient gt.
   void sparse_weight_grad(const ConvGeom& g, const Tensor& x,
-                          const Tensor& grad_output);
+                          const Tensor& grad_output, float* gt);
 
   Conv2dConfig config_;
   Param weight_;
   Param bias_;
   bool training_ = false;
   bool weight_t_stale_ = true;   // kWeightT is refreshed at the first scatter
+  bool weight_r_stale_ = true;   // kWeightR, at the first input gradient
   // The window's distinct step inputs live in slots kInput..kInput +
   // num_inputs_ - 1, oldest first (training keeps the window's, a
   // forward-only window just the latest); input_sparse_[j] is the kernel

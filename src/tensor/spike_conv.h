@@ -1,14 +1,17 @@
-// Spike-sparse kernels for stride-1 convolution, shared by training
-// (snn::Conv2d) and inference (infer::InferenceSession).
+// Sparse kernels for stride-1 convolution.
 //
-// Both walk the ascending index list of an input plane's nonzeros and
-// touch only the (input pixel, tap) pairs that carry a nonzero, so a layer
-// fed 10 % dense spikes does about a tenth of the dense im2col + GEMM work.
-// Each output element still gets its terms in the dense kernel's order —
-// ascending im2col row p = (ic, kh, kw) for the forward pass, ascending
-// output position for the weight gradient — and the terms the index list
-// skips are exact ±0 products, so both kernels are bit-identical to their
-// im2col + GEMM counterparts (DESIGN.md §10).
+// The forward scatter and the weight-gradient gather, shared by training
+// (snn::Conv2d) and inference (infer::InferenceSession), walk the
+// ascending index list of an input plane's nonzeros and touch only the
+// (input pixel, tap) pairs that carry a nonzero, so a layer fed 10 % dense
+// spikes does about a tenth of the dense im2col + GEMM work.  The
+// input-gradient pair (training only) likewise skips the zero output
+// gradients a max pool leaves.  Each output element still gets its terms
+// in the dense kernel's order — ascending im2col row p = (ic, kh, kw) for
+// the forward pass, ascending output position for the weight gradient,
+// ascending output channel then ascending tap for the input gradient — and
+// the terms skipped are exact ±0 products, so every kernel is
+// bit-identical to its im2col + GEMM counterpart (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -52,5 +55,30 @@ void conv_gather_dw(const ConvGeom& g, std::int64_t out_channels,
                     const float* x, const std::int32_t* idx, std::int64_t cnt,
                     const float* go_t, std::int64_t oc_begin,
                     std::int64_t oc_end, float* grad_t);
+
+/// The weight copy conv_grad_rows reads: weight_r[oc, (t, ic)] =
+/// weight[oc, (ic, t)] for the `taps` = KH*KW kernel taps t = (kh, kw).
+void conv_weight_tap_major(std::int64_t out_channels,
+                           std::int64_t in_channels, std::int64_t taps,
+                           const float* weight, float* weight_r);
+
+/// Input-gradient rows of one sample, from its nonzero output gradients:
+/// rows[s, j] = sum over the output channels oc with go[oc, s] != 0, in
+/// ascending oc and from +0, of go[oc, s] * weight_r[oc, j].  `go` is the
+/// sample's [OC, spatial] output gradient, `weight_r` the [OC, K]
+/// tap-major weight copy (j = (kh, kw, ic)); `nz` and `nz_go` are
+/// scratch for OC indices and values.  Row s holds column s of
+/// gemm_tn(W, go), permuted to (kh, kw, ic) order, bit for bit.
+void conv_grad_rows(std::int64_t spatial, std::int64_t k,
+                    std::int64_t out_channels, const float* weight_r,
+                    const float* go, std::int32_t* nz, float* nz_go,
+                    float* rows);
+
+/// Input gradient of one [C, H, W] plane from the [spatial, K] rows of
+/// conv_grad_rows: dx[c, y, x] = +0 plus, over the pixel's taps in
+/// ascending (kh, kw), rows[(y + pad - kh, x + pad - kw), (kh, kw, c)].
+/// Writes every element of dx.  Equals col2im of the columns onto a zeroed
+/// plane bit for bit.
+void conv_gather_dx(const ConvGeom& g, const float* rows, float* dx);
 
 }  // namespace spiketune

@@ -1,4 +1,4 @@
-// im2col/col2im vs direct convolution, plus gradcheck self-tests.
+// im2col vs direct convolution, plus gradcheck self-tests.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -90,32 +90,6 @@ TEST(Im2col, GemmConvMatchesDirect) {
       }
     }
   }
-}
-
-// col2im is the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
-TEST(Im2col, Col2ImIsAdjoint) {
-  ConvGeom g{2, 5, 4, 3, 3, 1, 1, 1, 1};
-  Rng rng(31);
-  const std::int64_t img_n = g.channels * g.height * g.width;
-  const std::int64_t col_n = g.col_rows() * g.col_cols();
-  std::vector<float> x(static_cast<std::size_t>(img_n));
-  std::vector<float> y(static_cast<std::size_t>(col_n));
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : y) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-
-  std::vector<float> ax(static_cast<std::size_t>(col_n));
-  im2col(g, x.data(), ax.data());
-  std::vector<float> aty(static_cast<std::size_t>(img_n), 0.0f);
-  col2im(g, y.data(), aty.data());
-
-  double lhs = 0.0, rhs = 0.0;
-  for (std::int64_t i = 0; i < col_n; ++i)
-    lhs += static_cast<double>(ax[static_cast<std::size_t>(i)]) *
-           y[static_cast<std::size_t>(i)];
-  for (std::int64_t i = 0; i < img_n; ++i)
-    rhs += static_cast<double>(x[static_cast<std::size_t>(i)]) *
-           aty[static_cast<std::size_t>(i)];
-  EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
 TEST(GradCheck, AcceptsCorrectGradient) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "snn/conv2d.h"
 #include "snn/linear.h"
@@ -334,7 +335,32 @@ TEST(Layers, ParamListArity) {
 // A test-local copy of the dense lowering every Conv2d path must equal bit
 // for bit: per sample im2col, gemm(W, cols) plus the bias; the weight
 // gradient gemm_nt(go, cols) accumulated in sample order; the bias gradient
-// as per-sample double sums; the input gradient gemm_tn(W, go) then col2im.
+// as per-sample double sums; the input gradient gemm_tn(W, go) then col2im
+// onto a zeroed plane.
+
+// The col2im that the input gradient used to run: adds each column row
+// (c, kh, kw), in ascending order, onto image plane c.
+void col2im(const ConvGeom& g, const float* columns, float* image) {
+  const std::int64_t oh = g.out_h();
+  const std::int64_t ow = g.out_w();
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* plane = image + c * g.height * g.width;
+    std::int64_t row = c * g.kernel_h * g.kernel_w;
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        const float* in = columns + row * oh * ow;
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t sy = y + kh - g.pad_h;
+          if (sy < 0 || sy >= g.height) continue;
+          for (std::int64_t x = 0; x < ow; ++x) {
+            const std::int64_t sx = x + kw - g.pad_w;
+            if (sx >= 0 && sx < g.width)
+              plane[sy * g.width + sx] += in[y * ow + x];
+          }
+        }
+      }
+  }
+}
 
 struct ConvRef {
   std::vector<Tensor> outputs;  // per forward step
@@ -408,41 +434,105 @@ Tensor spike_input(const Shape& shape, double density, Rng& rng) {
   return x;
 }
 
-// Runs a 3-step window through `conv` and the reference; `repeat` feeds
-// step 0's input at every step.
-void expect_conv_matches_reference(std::int64_t pad, double density,
-                                   bool repeat) {
-  SCOPED_TRACE(testing::Message() << "pad " << pad << " density "
-                                  << density << " repeat " << repeat);
-  Rng rng(static_cast<std::uint64_t>(31 + pad * 7 + density * 100));
-  Conv2d conv(Conv2dConfig{4, 6, 3, pad}, rng);
-  const Shape in{3, 4, 9, 7};  // odd, non-square image
-  const Shape out{3, 6, 9 + 2 * pad - 2, 7 + 2 * pad - 2};
-  std::vector<Tensor> xs, gos;
-  for (int t = 0; t < 3; ++t) {
-    xs.push_back(repeat && t > 0 ? xs.front() : spike_input(in, density, rng));
-    gos.push_back(Tensor::uniform(out, rng, -1.0f, 1.0f));
-  }
-  const ConvRef want = im2col_reference(conv, xs, gos);
+// An [N, C, H, W] output gradient at `density`.  1 is dense uniform.  Below
+// it, kMaxPoolLike places one value per whole 2x2 window of each plane, at
+// a random tap, as a max pool's backward does (about 0.17 nonzero here);
+// other densities place values at random.  Below 1, the zeros mix +0 and
+// −0, and sample 1 is all zeros.
+constexpr double kMaxPoolLike = 0.17;
 
-  conv.zero_grad();
-  conv.begin_window(in[0], true);
-  for (std::size_t t = 0; t < xs.size(); ++t)
-    EXPECT_TRUE(bits_equal(conv.forward_step(xs[t]), want.outputs[t]))
-        << "output, step " << t;
-  for (std::size_t k = 0; k < xs.size(); ++k)
-    EXPECT_TRUE(bits_equal(conv.backward_step(gos[xs.size() - 1 - k]),
-                           want.grad_inputs[k]))
-        << "input grad, step " << xs.size() - 1 - k;
-  EXPECT_TRUE(bits_equal(conv.weight().grad, want.weight_grad));
-  EXPECT_TRUE(bits_equal(conv.bias().grad, want.bias_grad));
+Tensor output_grad(const Shape& shape, double density, Rng& rng) {
+  if (density >= 1.0) return Tensor::uniform(shape, rng, -1.0f, 1.0f);
+  Tensor go(shape);
+  for (std::int64_t i = 0; i < go.numel(); ++i)
+    go[i] = rng.uniform() < 0.5 ? -0.0f : 0.0f;
+  const std::int64_t h = shape[2];
+  const std::int64_t w = shape[3];
+  for (std::int64_t plane = 0; plane < shape[0] * shape[1]; ++plane) {
+    if (plane / shape[1] == 1) continue;  // sample 1 stays all zeros
+    float* p = go.data() + plane * h * w;
+    if (density == kMaxPoolLike) {
+      for (std::int64_t y = 0; y + 2 <= h; y += 2)
+        for (std::int64_t x = 0; x + 2 <= w; x += 2) {
+          const auto tap = static_cast<std::int64_t>(rng.uniform_int(4));
+          p[(y + tap / 2) * w + x + tap % 2] =
+              static_cast<float>(rng.uniform(-1.0, 1.0));
+        }
+    } else {
+      for (std::int64_t e = 0; e < h * w; ++e)
+        if (rng.uniform() < density)
+          p[e] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  return go;
+}
+
+// One reference check: `density` is the input's, `go_density` the output
+// gradient's (output_grad), `repeat` feeds step 0's input at every step.
+struct ConvCase {
+  std::int64_t pad = 0;
+  double density = 0.1;
+  bool repeat = false;
+  double go_density = 1.0;
+  int threads = 1;
+  std::int64_t in_channels = 4;
+  std::int64_t batch = 3;
+};
+
+// Runs two 3-step windows through a conv and the reference at c.threads
+// participants, with the weights moved in between as an optimizer step
+// would.
+void expect_conv_matches_reference(const ConvCase& c) {
+  SCOPED_TRACE(testing::Message()
+               << "pad " << c.pad << " density " << c.density << " repeat "
+               << c.repeat << " go density " << c.go_density << " threads "
+               << c.threads << " in channels " << c.in_channels << " batch "
+               << c.batch);
+  set_num_threads(c.threads);
+  Rng rng(static_cast<std::uint64_t>(
+      31 + c.pad * 7 + c.density * 100 +
+      (c.go_density < 1.0 ? c.go_density * 1000 : 0.0) +
+      (c.in_channels - 4) * 10000));
+  Conv2d conv(Conv2dConfig{c.in_channels, 6, 3, c.pad}, rng);
+  const Shape in{c.batch, c.in_channels, 9, 7};  // odd, non-square image
+  const Shape out{c.batch, 6, 9 + 2 * c.pad - 2, 7 + 2 * c.pad - 2};
+  for (int window = 0; window < 2; ++window) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    Tensor& w = conv.weight().value;
+    if (window > 0)
+      for (std::int64_t i = 0; i < w.numel(); ++i)
+        w[i] += static_cast<float>(rng.uniform(-0.1, 0.1));
+    // Signed zero weights: their products are ±0 wherever they land.
+    for (std::int64_t i = window; i < w.numel(); i += 5)
+      w[i] = i % 2 == 0 ? 0.0f : -0.0f;
+    std::vector<Tensor> xs, gos;
+    for (int t = 0; t < 3; ++t) {
+      xs.push_back(c.repeat && t > 0 ? xs.front()
+                                     : spike_input(in, c.density, rng));
+      gos.push_back(output_grad(out, c.go_density, rng));
+    }
+    const ConvRef want = im2col_reference(conv, xs, gos);
+
+    conv.zero_grad();
+    conv.begin_window(in[0], true);
+    for (std::size_t t = 0; t < xs.size(); ++t)
+      EXPECT_TRUE(bits_equal(conv.forward_step(xs[t]), want.outputs[t]))
+          << "output, step " << t;
+    for (std::size_t k = 0; k < xs.size(); ++k)
+      EXPECT_TRUE(bits_equal(conv.backward_step(gos[xs.size() - 1 - k]),
+                             want.grad_inputs[k]))
+          << "input grad, step " << xs.size() - 1 - k;
+    EXPECT_TRUE(bits_equal(conv.weight().grad, want.weight_grad));
+    EXPECT_TRUE(bits_equal(conv.bias().grad, want.bias_grad));
+  }
+  set_num_threads(1);
 }
 
 TEST(Conv2d, SparseDispatchMatchesIm2colGemmBitwise) {
   // Density 0 and 0.1 take the spike-index kernels, 1.0 im2col + GEMM.
   for (std::int64_t pad : {0, 1})
     for (double density : {0.0, 0.1, 1.0})
-      expect_conv_matches_reference(pad, density, /*repeat=*/false);
+      expect_conv_matches_reference({.pad = pad, .density = density});
 }
 
 TEST(Conv2d, RepeatedStepInputMatchesRecompute) {
@@ -450,9 +540,34 @@ TEST(Conv2d, RepeatedStepInputMatchesRecompute) {
   // columns must give what recomputing every step gives.
   for (std::int64_t pad : {0, 1})
     for (double density : {0.1, 1.0})
-      expect_conv_matches_reference(pad, density, /*repeat=*/true);
+      expect_conv_matches_reference(
+          {.pad = pad, .density = density, .repeat = true});
 }
 
+TEST(Conv2d, InputGradMatchesGemmTnCol2imAtEveryGradientDensity) {
+  // The input gradient is built from the nonzero output gradients only;
+  // it must equal gemm_tn + col2im at any density, with signed zeros and
+  // an all-zero sample, and at any thread count.  Batch 10 runs the bias
+  // gradient's eight interleaved sums and its remainder.
+  for (int threads : {1, 3})
+    for (std::int64_t pad : {0, 1})
+      for (double go_density : {0.0, kMaxPoolLike, 0.5, 1.0})
+        expect_conv_matches_reference({.pad = pad,
+                                       .go_density = go_density,
+                                       .threads = threads,
+                                       .batch = 10});
+}
+
+TEST(Conv2d, InputGradMatchesGemmTnCol2imAtEveryChannelBlock) {
+  // 3, 59 and 75 input channels between them take every register block
+  // of the row kernel (K = 9 * IC: 8, 4, 2 and 1 vectors and a partial
+  // one) and of the gather (the same over IC, and a scalar tail).
+  for (std::int64_t in_channels : {3, 59, 75})
+    for (double go_density : {kMaxPoolLike, 1.0})
+      expect_conv_matches_reference({.pad = 1,
+                                     .go_density = go_density,
+                                     .in_channels = in_channels});
+}
 
 // --- Pool kernels ------------------------------------------------------------
 //
